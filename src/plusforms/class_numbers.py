@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, lcm
 
 from .level_one_forms import bernoulli
 
@@ -219,11 +219,9 @@ def gen_bernoulli(r: int, d: int) -> Fraction:
         raise ValueError("%d is not a fundamental discriminant" % d)
     f = abs(d)
     binom_bern = [comb(r, j) * bernoulli(j) for j in range(r + 1)]
-    lcm = 1
-    for c in binom_bern:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    # f^r * B_r(a/f) = (1/L) * sum_j (L*C(r,j)*B_j*f^j) * a^(r-j)
-    poly = [int(c * lcm) * f ** j for j, c in enumerate(binom_bern)]
+    den = lcm(*(c.denominator for c in binom_bern))
+    # f^r * B_r(a/f) = (1/L) * sum_j (L*C(r,j)*B_j*f^j) * a^(r-j), L = den
+    poly = [int(c * den) * f ** j for j, c in enumerate(binom_bern)]
     chi = _chi_row(d, f) if f > 1 else [1]
     total = 0
     for a in range(1, f + 1):
@@ -233,7 +231,7 @@ def gen_bernoulli(r: int, d: int) -> Fraction:
             for cj in poly:
                 acc = acc * a + cj
             total += ca * acc
-    return Fraction(total, lcm * f)
+    return Fraction(total, den * f)
 
 
 # -- Hurwitz class numbers --------------------------------------------------

@@ -23,6 +23,7 @@ from .class_numbers import class_number_of_field, field_discriminant, hurwitz
 from .cohen_eisenstein import cohen_series, theta
 from .congruence_engine import (
     CongruenceReport,
+    _first_difference,
     index_gamma0,
     sturm_bound,
     verify_congruence,
@@ -148,16 +149,14 @@ def _units_from_flag(flag: str):
 
 def _direct_report(lhs_name, rhs_name, lhs_red, rhs_red, m, bound,
                    units) -> CongruenceReport:
-    # plain coefficient comparison at a caller-chosen depth (no Sturm claim)
-    cand = units if units else [1] + [u for u in range(2, m)]
+    # plain coefficient comparison at a caller-chosen depth (no Sturm claim);
+    # a mismatch is reported against the requested unit, or 1 under auto
+    cand = units if units else range(1, m)
     for unit in cand:
-        ok = all(lhs_red.coeffs[n] == unit * rhs_red.coeffs[n] % m
-                 for n in range(bound))
-        if ok:
+        if _first_difference(lhs_red, rhs_red, unit, m, bound) is None:
             return CongruenceReport(lhs_name, rhs_name, m, bound, None,
                                     "direct", "verified", unit=unit)
-    first = next(n for n in range(bound)
-                 if lhs_red.coeffs[n] != rhs_red.coeffs[n])
+    first = _first_difference(lhs_red, rhs_red, cand[0], m, bound)
     return CongruenceReport(lhs_name, rhs_name, m, bound, None, "direct",
                             "mismatch", first_n=first,
                             lhs_value=lhs_red.coeffs[first],

@@ -24,7 +24,7 @@ small integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from .class_numbers import _factorize
 from .cohen_eisenstein import theta
@@ -39,13 +39,6 @@ class HalfIntegralWeightError(ValueError):
 
 class IncompatibleWeightsError(ValueError):
     """The weight gap is negative or odd, so R_t cannot equalize it."""
-
-
-def _lcm(*values: int) -> int:
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out
 
 
 def index_gamma0(level: int) -> int:
@@ -95,7 +88,7 @@ def equalize_and_integralize(lhs: NamedForm, rhs: NamedForm,
     elif t:
         right = right * r_t(t, precision).series
     th = theta(precision).series
-    level = _lcm(lhs.meta.level_bound, rhs.meta.level_bound, 4)
+    level = lcm(lhs.meta.level_bound, rhs.meta.level_bound, 4)
     return left * th, right * th, out_tw, level
 
 
@@ -164,7 +157,7 @@ def verify_congruence(lhs: NamedForm, rhs: NamedForm, m: int = 3,
     if lhs.meta.twice_weight < rhs.meta.twice_weight:
         heavy, light, flipped = rhs, lhs, True
     gap2 = heavy.meta.twice_weight - light.meta.twice_weight
-    level = _lcm(heavy.meta.level_bound, light.meta.level_bound, 4)
+    level = lcm(heavy.meta.level_bound, light.meta.level_bound, 4)
     if gap2 % 4 == 0:
         strategy = "theta_integralize"
         t = gap2 // 2

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from . import _cache
 from .cohen_eisenstein import (
@@ -30,21 +30,19 @@ from .operators import (
     Character,
     OperatorTrace,
     ap_project,
+    e2_level_two,
     level_after_ap,
     level_after_twist,
     level_after_u,
     level_after_v,
+    r_monomial,
     r_t,
     twist,
     u_op,
+    v4_precision,
     v_op,
-    w2_bridge,
 )
 from .qseries import QSeries
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 CHI3 = Character.kronecker(-3)
@@ -116,10 +114,10 @@ def f_form(precision: int) -> NamedForm:
     base = phi(9, precision + 2)
     picked = v_op(u_op(base.series, 3), 3)
     stripped = (base.series - picked).truncate(precision)
-    level_a = _lcm(base.meta.level_bound,
-                   level_after_v(level_after_u(base.meta.level_bound, 3), 3))
+    level_a = lcm(base.meta.level_bound,
+                  level_after_v(level_after_u(base.meta.level_bound, 3), 3))
     twisted = twist(stripped, CHI3)
-    level = _lcm(level_a, level_after_twist(level_a, CHI3.modulus))
+    level = lcm(level_a, level_after_twist(level_a, CHI3.modulus))
     series = stripped + twisted
     name = "F"
     _check_three_integral(series)
@@ -140,15 +138,17 @@ def g31(precision: int) -> NamedForm:
 
 
 def _psi_series(k: int, precision: int) -> QSeries:
-    small = (precision + 2) // 4 + 1
-    delta4 = v_op(delta(small).series, 4).truncate(precision)
+    small = v4_precision(precision)
     if k - 12 == 2:
         # no weight-2 monomial exists; the level-8 bridge is 1 mod 3 and
         # keeps the support inside exponents 0, 1 mod 4
-        equalizer = w2_bridge(precision).series
+        equalizer = e2_level_two(small)
     else:
-        equalizer = r_t(k - 12, precision).series
-    return delta4 * equalizer * theta(precision).series
+        equalizer = r_monomial(k - 12, small)
+    # Delta(4z) R_{k-12} = V_4(Delta R'), multiplied on a quarter of the
+    # coefficients
+    delta_r = v_op(delta(small).series * equalizer, 4).truncate(precision)
+    return delta_r * theta(precision).series
 
 
 def psi(k: int, precision: int) -> NamedForm:
@@ -171,11 +171,13 @@ def psi(k: int, precision: int) -> NamedForm:
 
 
 def _psi10_base(precision: int) -> QSeries:
-    small = (precision + 2) // 4 + 1
-    e4d = v_op(eisenstein(4, small).series, 4).truncate(precision)
-    e6d = v_op(eisenstein(6, small).series, 4).truncate(precision)
-    th = theta(precision).series
-    return th * e4d * e6d - cohen_series(2, precision).series * e4d * e4d
+    small = v4_precision(precision)
+    e4 = eisenstein(4, small).series
+    e6 = eisenstein(6, small).series
+    e4e6 = v_op(e4 * e6, 4).truncate(precision)
+    e4e4 = v_op(e4 * e4, 4).truncate(precision)
+    return theta(precision).series * e4e6 \
+        - cohen_series(2, precision).series * e4e4
 
 
 def psi10(precision: int) -> NamedForm:

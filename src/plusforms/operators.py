@@ -13,7 +13,7 @@ upper bounds only - that is all a Sturm cutoff needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 
 from . import _cache
 from .class_numbers import kronecker
@@ -62,12 +62,8 @@ class Character:
         return cls(1, (1,), "trivial")
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
 def level_after_u(level: int, d: int) -> int:
-    return _lcm(level, 4 * d)
+    return lcm(level, 4 * d)
 
 
 def level_after_v(level: int, d: int) -> int:
@@ -172,21 +168,29 @@ def m_of(t: int) -> int:
     return (t - 4 * (t // 4)) // 2
 
 
-def _r_series(t: int, precision: int) -> QSeries:
+def v4_precision(precision: int) -> int:
+    """The least precision p whose V_4 image, which covers 4(p-1)+1
+    exponents, spans `precision` coefficients."""
+    return (precision + 2) // 4 + 1
+
+
+def r_monomial(t: int, precision: int) -> QSeries:
+    """E_4^(floor(t/4) - m) E_6^m with m = m_of(t): R_t before V_4."""
     e6_pow = m_of(t)
     e4_pow = t // 4 - e6_pow
-    # v_op by 4 on precision p covers exponents < 4(p-1)+1, so this
-    # choice guarantees the dilation spans the whole requested window
-    small = (precision + 2) // 4 + 1
     acc = None
     for weight, e in ((4, e4_pow), (6, e6_pow)):
         if e:
-            dilated = v_op(eisenstein(weight, small).series, 4).truncate(precision)
-            piece = dilated ** e
+            piece = eisenstein(weight, precision).series ** e
             acc = piece if acc is None else acc * piece
-    if acc is None:
-        acc = QSeries.one(RATIONAL, precision)
-    return acc
+    return QSeries.one(RATIONAL, precision) if acc is None else acc
+
+
+def _r_series(t: int, precision: int) -> QSeries:
+    # V_4 is a ring homomorphism, so the monomial is multiplied undilated,
+    # on a quarter of the coefficients
+    monomial = r_monomial(t, v4_precision(precision))
+    return v_op(monomial, 4).truncate(precision)
 
 
 def r_t(t: int, precision: int) -> Form:
@@ -201,20 +205,24 @@ def r_t(t: int, precision: int) -> Form:
     return Form(series, FormMeta(2 * t, 4))
 
 
-def _w2_series(precision: int) -> QSeries:
-    # 2 E_2(2z) - E_2(z) = 1 + 24 sum((sigma_1(n) - 2 sigma_1(n/2)) q^n),
-    # dilated by 4; every nonconstant coefficient is a multiple of 24
-    small = (precision + 2) // 4 + 1
-    coeffs = [0] * small
-    for d in range(1, small):
-        for n in range(d, small, d):
+def e2_level_two(precision: int) -> QSeries:
+    """2 E_2(2z) - E_2(z) = 1 + 24 sum((sigma_1(n) - 2 sigma_1(n/2)) q^n),
+    the weight-2 bridge before V_4; every nonconstant coefficient is a
+    multiple of 24."""
+    coeffs = [0] * precision
+    for d in range(1, precision):
+        for n in range(d, precision, d):
             coeffs[n] += 24 * d
     # subtract the doubled even part: sigma_1(n/2) terms
-    for d in range(1, (small - 1) // 2 + 1):
-        for n in range(2 * d, small, 2 * d):
+    for d in range(1, (precision - 1) // 2 + 1):
+        for n in range(2 * d, precision, 2 * d):
             coeffs[n] -= 48 * d
     coeffs[0] = 1
-    return v_op(QSeries.rational(coeffs), 4).truncate(precision)
+    return QSeries.rational(coeffs)
+
+
+def _w2_series(precision: int) -> QSeries:
+    return v_op(e2_level_two(v4_precision(precision)), 4).truncate(precision)
 
 
 def w2_bridge(precision: int) -> Form:

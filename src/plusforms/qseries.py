@@ -8,13 +8,26 @@ the coefficient tuple is the precision P (exponents 0..P-1 are known).
 Every value is immutable, every operation is a pure function, and precision
 propagates as the minimum across operands, so a result is never silently
 pretending to know more coefficients than its inputs supplied.
+
+Products have one exact kernel.  Over Q (integer series included) each
+operand's denominators are cleared by their lcm, the two integer rows are
+multiplied once by Kronecker substitution (each row packed into one big
+integer, one digit per coefficient, wide enough that no digit of the
+product overflows), and the first P digits are divided by the product of
+the two lcms.  Over Z/m the residue rows are convolved by numpy in int64
+when (m-1)^2 * P < 2^63, which bounds every sum of products exactly;
+larger moduli take the big-integer route and reduce mod m.  The results
+are identical to the schoolbook double loop, which the tests keep as the
+oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+
+import numpy as np
 
 
 class RingMismatchError(ValueError):
@@ -55,6 +68,45 @@ class RingTag:
 RATIONAL = RingTag(None)
 
 
+def _kronecker(a: list[int], b: list[int]) -> list[int]:
+    """The first n coefficients of the product of two integer rows of
+    length n, by Kronecker substitution.
+
+    Every product coefficient is below n * 2^(bits(a) + bits(b)) in absolute
+    value, so a digit of w bits with one more to spare holds it in two's
+    complement.  Adding 2^(w-1) to every digit (`bias`) makes each one
+    nonnegative, so the digits of a packed row, and the low n digits of the
+    product, read back independently without borrows."""
+    n = len(a)
+    bits = (max(map(int.bit_length, a)) + max(map(int.bit_length, b))
+            + n.bit_length() + 1)
+    width = (bits + 7) // 8
+    size = width * n
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    x = (_pack(a, width) ^ bias) - bias
+    y = (_pack(b, width) ^ bias) - bias
+    low = ((x * y + bias) & ((1 << 8 * size) - 1)) ^ bias
+    view = memoryview(low.to_bytes(size, "little"))
+    return [int.from_bytes(view[i:i + width], "little", signed=True)
+            for i in range(0, size, width)]
+
+
+def _pack(row: list[int], width: int) -> int:
+    """The row's coefficients as consecutive two's complement digits of
+    `width` bytes, read as one nonnegative integer."""
+    buf = bytearray(width * len(row))
+    for i, c in enumerate(row):
+        if c:
+            start = i * width
+            buf[start:start + width] = c.to_bytes(width, "little", signed=True)
+    return int.from_bytes(buf, "little")
+
+
+def _cleared(row, denominator: int) -> list[int]:
+    """Numerators of a Fraction row over the common `denominator`."""
+    return [c.numerator * (denominator // c.denominator) for c in row]
+
+
 def _coerce(ring: RingTag, value):
     if ring.modulus is None:
         if isinstance(value, Fraction):
@@ -88,6 +140,15 @@ class QSeries:
             raise ValueError("a series needs at least one known coefficient")
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, ring: RingTag, coeffs: tuple) -> "QSeries":
+        """Wrap a nonempty tuple already in normal form (Fractions over Q,
+        residues in [0, m) over Z/m) without coercing it again."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "ring", ring)
+        object.__setattr__(series, "coeffs", coeffs)
+        return series
 
     @classmethod
     def rational(cls, coeffs) -> "QSeries":
@@ -157,31 +218,22 @@ class QSeries:
 
     def _cauchy(self, other: "QSeries") -> "QSeries":
         n = min(self.precision, other.precision)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.coeffs[:n], other.coeffs[:n]
         m = self.ring.modulus
-        if m is None and all(c.denominator == 1 for c in a[:n]) \
-                and all(c.denominator == 1 for c in b[:n]):
-            # integer fast path: convolve plain ints, wrap once at the end
-            ai = [c.numerator for c in a[:n]]
-            bi = [c.numerator for c in b[:n]]
-            out = [0] * n
-            for i, ci in enumerate(ai):
-                if ci:
-                    row = bi[: n - i]
-                    for j, dj in enumerate(row):
-                        if dj:
-                            out[i + j] += ci * dj
-            return QSeries(self.ring, tuple(Fraction(c) for c in out))
-        out = [0] * n
-        for i, ci in enumerate(a[:n]):
-            if ci:
-                row = b[: n - i]
-                for j, dj in enumerate(row):
-                    if dj:
-                        out[i + j] += ci * dj
-        if m is not None:
-            out = [c % m for c in out]
-        return QSeries(self.ring, tuple(out))
+        if m is None:
+            la = lcm(*(c.denominator for c in a))
+            lb = lcm(*(c.denominator for c in b))
+            den = la * lb
+            out = tuple(Fraction(c, den) for c in
+                        _kronecker(_cleared(a, la), _cleared(b, lb)))
+        elif (m - 1) ** 2 * n < 1 << 63:
+            # no int64 sum of n residue products can overflow
+            row = np.convolve(np.array(a, dtype=np.int64),
+                              np.array(b, dtype=np.int64))[:n] % m
+            out = tuple(row.tolist())
+        else:
+            out = tuple(c % m for c in _kronecker(list(a), list(b)))
+        return QSeries._trusted(self.ring, out)
 
     def scale(self, c) -> "QSeries":
         c = _coerce(self.ring, c)
@@ -190,15 +242,16 @@ class QSeries:
     def __pow__(self, e: int) -> "QSeries":
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = QSeries.one(self.ring, self.precision)
-        base = self
-        while e:
+        if e == 0:
+            return QSeries.one(self.ring, self.precision)
+        result, base = None, self
+        while True:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
-            if e:
-                base = base * base
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def dilate(self, d: int) -> "QSeries":
         """Substitute q -> q^d; the precision window stays the input's."""
@@ -231,23 +284,21 @@ class QSeries:
         (the canonical integral normalization; zero stays zero)."""
         if not self.ring.is_rational:
             raise RingMismatchError("primitive() expects a rational series")
-        lcm = 1
-        for c in self.coeffs:
-            lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-        content = 0
-        for c in self.coeffs:
-            content = gcd(content, abs(c.numerator * (lcm // c.denominator)))
+        den = lcm(*(c.denominator for c in self.coeffs))
+        content = gcd(*_cleared(self.coeffs, den))
         if content == 0:
             return self
-        return self.scale(Fraction(lcm, content))
+        return self.scale(Fraction(den, content))
 
     def truncate(self, precision: int) -> "QSeries":
+        if precision < 1:
+            raise ValueError("a series needs at least one known coefficient")
         if precision > self.precision:
             raise ValueError("cannot extend precision %d to %d"
                              % (self.precision, precision))
         if precision == self.precision:
             return self
-        return QSeries(self.ring, self.coeffs[:precision])
+        return QSeries._trusted(self.ring, self.coeffs[:precision])
 
     # -- rendering ---------------------------------------------------------
 

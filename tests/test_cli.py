@@ -77,6 +77,17 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["unit"] == 1
 
+    def test_remark3_unit_2_reports_first_mismatch(self, capsys):
+        code, out, _ = run(capsys, "verify", "remark3", "--prec", "120",
+                           "--unit", "2")
+        assert code == 1
+        report = json.loads(out)
+        assert report["status"] == "mismatch"
+        first = report["first_mismatch"]
+        # the first n where lhs != 2 * rhs mod 3
+        assert first["n"] is not None
+        assert first["lhs"] != 2 * first["rhs"] % 3
+
     def test_ut(self, capsys):
         code, out, _ = run(capsys, "verify", "ut:3", "--prec", "25")
         assert code == 0

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import residue
+from plusforms import _cache
 from plusforms.class_numbers import hurwitz
-from plusforms.cohen_eisenstein import cohen_h
+from plusforms.cohen_eisenstein import cohen_h, cohen_series, theta
 from plusforms.constructions import (
     CHI3,
     CHI3_SQUARED,
@@ -18,8 +19,8 @@ from plusforms.constructions import (
     psi10,
     theta_off_multiples_of_three,
 )
-from plusforms.level_one_forms import delta
-from plusforms.operators import ap_project
+from plusforms.level_one_forms import delta, eisenstein
+from plusforms.operators import ap_project, r_t, twist, v_op, w2_bridge
 
 DISPLAY_PHI = {4: 2, 7: 1, 19: 1, 28: 2, 40: 2, 43: 1, 52: 2, 55: 1,
                64: 2, 67: 1, 76: 1}
@@ -125,6 +126,25 @@ class TestPsi:
         for n, expected in DISPLAY_PSI.items():
             if n < 100:
                 assert red.coeffs[n] == expected, n
+
+    def test_undilated_products_cover_every_window(self):
+        # Delta R' and the E_4 E_6 products are multiplied before V_4; at
+        # every P mod 4 psi and psi10 must equal the products of the dilated
+        # series at full precision
+        _cache.clear()
+        for p in range(1, 26):
+            delta4 = v_op(delta(p).series, 4).truncate(p)
+            th = theta(p).series
+            for k, equalizer in ((14, w2_bridge(p)), (16, r_t(4, p)),
+                                 (24, r_t(12, p))):
+                expected = delta4 * equalizer.series * th
+                assert psi(k, p).series.coeffs == expected.coeffs, (k, p)
+            e4_4 = v_op(eisenstein(4, p).series, 4).truncate(p)
+            e6_4 = v_op(eisenstein(6, p).series, 4).truncate(p)
+            base = th * e4_4 * e6_4 \
+                - cohen_series(2, p).series * e4_4 * e4_4
+            expected = twist(base, CHI3).scale(-1) + twist(base, CHI3_SQUARED)
+            assert psi10(p).series.coeffs == expected.coeffs, p
 
     def test_psi14_uses_level8_bridge(self):
         form = psi(14, 60)

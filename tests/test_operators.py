@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plusforms import _cache
 from plusforms.cohen_eisenstein import cohen_series, theta
 from plusforms.level_one_forms import eisenstein
 from plusforms.operators import (
@@ -168,6 +169,17 @@ class TestRt:
         e6_4 = v_op(eisenstein(6, p).series, 4).truncate(p)
         assert r_t(4, p).series.coeffs == e4_4.coeffs
         assert r_t(6, p).series.coeffs == e6_4.coeffs
+
+    def test_undilated_product_covers_every_window(self):
+        # R_t is multiplied before V_4; at every P mod 4 it must equal the
+        # product of the dilated series at full precision
+        _cache.clear()
+        for p in range(1, 26):
+            e4_4 = v_op(eisenstein(4, p).series, 4).truncate(p)
+            e6_4 = v_op(eisenstein(6, p).series, 4).truncate(p)
+            for t in (8, 10, 22):
+                expected = e4_4 ** (t // 4 - m_of(t)) * e6_4 ** m_of(t)
+                assert r_t(t, p).series.coeffs == expected.coeffs, (t, p)
 
     def test_t2_rejected(self):
         with pytest.raises(ValueError):

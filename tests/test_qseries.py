@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,21 @@ from plusforms.qseries import (
 
 def q(*coeffs):
     return QSeries.rational(coeffs)
+
+
+def schoolbook_product(a: QSeries, b: QSeries) -> tuple:
+    """The O(P^2) double loop: the reference every product must equal."""
+    n = min(a.precision, b.precision)
+    out = [0] * n
+    for i, ci in enumerate(a.coeffs[:n]):
+        if ci:
+            for j, dj in enumerate(b.coeffs[:n - i]):
+                if dj:
+                    out[i + j] += ci * dj
+    m = a.ring.modulus
+    if m is None:
+        return tuple(Fraction(c) for c in out)
+    return tuple(c % m for c in out)
 
 
 class TestBasics:
@@ -50,6 +66,18 @@ class TestBasics:
 
     def test_pow_zero(self):
         assert (q(1, 1) ** 0).coeffs == (1, 0)
+
+    def test_pow_matches_repeated_products(self):
+        a = q(1, Fraction(-1, 2), 3, 0, 7)
+        acc = a
+        for e in range(1, 9):
+            assert (a ** e).coeffs == acc.coeffs, e
+            acc = QSeries.rational(schoolbook_product(acc, a))
+
+    def test_truncate_keeps_one_coefficient(self):
+        assert q(1, 2).truncate(1).coeffs == (1,)
+        with pytest.raises(ValueError):
+            q(1, 2).truncate(0)
 
     def test_scale(self):
         assert q(0, 1, 1).scale(28).coeffs == (0, 28, 28)
@@ -124,6 +152,79 @@ class TestRingAxioms:
         once = a.dilate(d1 * d2)
         twice = a.dilate(d1).dilate(d2)
         assert once.coeffs == twice.coeffs
+
+
+INT64_LIMIT = 1 << 63
+
+
+def _row(rnd, n, kind, bits, denominators):
+    """n coefficients of one kind: fraction, integer, zero or single."""
+    def value():
+        c = rnd.randint(-(1 << bits), 1 << bits)
+        return Fraction(c, rnd.choice(denominators)) if kind == "fraction" \
+            else c
+    if kind == "zero":
+        return [0] * n
+    if kind == "single":
+        out = [0] * n
+        out[rnd.randrange(n)] = value() or 1
+        return out
+    return [value() for _ in range(n)]
+
+
+kinds = st.sampled_from(("fraction", "integer", "zero", "single"))
+
+
+class TestProductKernel:
+    """The Kronecker / numpy kernel against the schoolbook oracle."""
+
+    # random.Random fills the rows: hypothesis would need more entropy than
+    # it allows per example for 300 coefficients of 256 bits
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 300), st.integers(0, 40), kinds, kinds,
+           st.integers(0, 256), st.lists(st.integers(1, 10 ** 6),
+                                         min_size=1, max_size=6),
+           st.randoms(use_true_random=False))
+    def test_rational_rows(self, n, extra, kind_a, kind_b, bits,
+                           denominators, rnd):
+        a = QSeries.rational(_row(rnd, n, kind_a, bits, denominators))
+        b = QSeries.rational(_row(rnd, n + extra, kind_b, bits,
+                                  denominators))
+        for x, y in ((a, b), (b, a)):
+            got = (x * y).coeffs
+            assert len(got) == n
+            assert all(type(c) is Fraction for c in got)
+            assert got == schoolbook_product(x, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 300), st.integers(0, 40),
+           st.sampled_from(("small", "below", "above", "huge")),
+           st.booleans(), st.randoms(use_true_random=False))
+    def test_modular_rows(self, n, extra, size, full, rnd):
+        # the int64 route holds exactly while (m - 1)^2 * n < 2^63
+        edge = isqrt((INT64_LIMIT - 1) // n) + 1
+        m = {"small": rnd.randint(2, 1000), "below": edge, "above": edge + 1,
+             "huge": rnd.randint(INT64_LIMIT, 1 << 300)}[size]
+        rows = [[m - 1] * k if full else [rnd.randrange(m) for _ in range(k)]
+                for k in (n, n + extra)]
+        a, b = QSeries.modular(m, rows[0]), QSeries.modular(m, rows[1])
+        got = (a * b).coeffs
+        assert all(type(c) is int for c in got)
+        assert got == schoolbook_product(a, b)
+
+    @pytest.mark.parametrize("n", [1, 2, 299, 300])
+    def test_all_top_residues_just_above_int64(self, n):
+        m = isqrt((INT64_LIMIT - 1) // n) + 2
+        assert (m - 1) ** 2 * n >= INT64_LIMIT > (m - 2) ** 2 * n
+        for modulus in (m - 1, m):
+            a = QSeries.modular(modulus, [modulus - 1] * n)
+            assert (a * a).coeffs == schoolbook_product(a, a)
+
+    def test_extreme_magnitudes(self):
+        big = (1 << 256) - 1
+        a = QSeries.rational([big, -big, Fraction(-big, 10 ** 6), 0, big])
+        b = QSeries.rational([-big, Fraction(1, 999983), big, big, -1])
+        assert (a * b).coeffs == schoolbook_product(a, b)
 
 
 class TestRendering:
