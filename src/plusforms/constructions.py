@@ -30,6 +30,7 @@ from .operators import (
     Character,
     OperatorTrace,
     ap_project,
+    dilate4,
     e2_level_two,
     level_after_ap,
     level_after_twist,
@@ -145,9 +146,8 @@ def _psi_series(k: int, precision: int) -> QSeries:
         equalizer = e2_level_two(small)
     else:
         equalizer = r_monomial(k - 12, small)
-    # Delta(4z) R_{k-12} = V_4(Delta R'), multiplied on a quarter of the
-    # coefficients
-    delta_r = v_op(delta(small).series * equalizer, 4).truncate(precision)
+    # Delta(4z) R_{k-12} = V_4(Delta R')
+    delta_r = dilate4(delta(small).series * equalizer, precision)
     return delta_r * theta(precision).series
 
 
@@ -174,8 +174,8 @@ def _psi10_base(precision: int) -> QSeries:
     small = v4_precision(precision)
     e4 = eisenstein(4, small).series
     e6 = eisenstein(6, small).series
-    e4e6 = v_op(e4 * e6, 4).truncate(precision)
-    e4e4 = v_op(e4 * e4, 4).truncate(precision)
+    e4e6 = dilate4(e4 * e6, precision)
+    e4e4 = dilate4(e4 * e4, precision)
     return theta(precision).series * e4e6 \
         - cohen_series(2, precision).series * e4e4
 

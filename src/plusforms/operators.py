@@ -174,6 +174,14 @@ def v4_precision(precision: int) -> int:
     return (precision + 2) // 4 + 1
 
 
+def dilate4(g: QSeries, precision: int) -> QSeries:
+    """V_4 of a series built at v4_precision(precision), cut to
+    `precision` coefficients.  V_4 is a ring homomorphism, so a product
+    taken before it equals the product of the dilated factors while it
+    multiplies a quarter of the coefficients."""
+    return v_op(g, 4).truncate(precision)
+
+
 def r_monomial(t: int, precision: int) -> QSeries:
     """E_4^(floor(t/4) - m) E_6^m with m = m_of(t): R_t before V_4."""
     e6_pow = m_of(t)
@@ -187,10 +195,7 @@ def r_monomial(t: int, precision: int) -> QSeries:
 
 
 def _r_series(t: int, precision: int) -> QSeries:
-    # V_4 is a ring homomorphism, so the monomial is multiplied undilated,
-    # on a quarter of the coefficients
-    monomial = r_monomial(t, v4_precision(precision))
-    return v_op(monomial, 4).truncate(precision)
+    return dilate4(r_monomial(t, v4_precision(precision)), precision)
 
 
 def r_t(t: int, precision: int) -> Form:
@@ -222,7 +227,7 @@ def e2_level_two(precision: int) -> QSeries:
 
 
 def _w2_series(precision: int) -> QSeries:
-    return v_op(e2_level_two(v4_precision(precision)), 4).truncate(precision)
+    return dilate4(e2_level_two(v4_precision(precision)), precision)
 
 
 def w2_bridge(precision: int) -> Form:

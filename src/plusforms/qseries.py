@@ -14,11 +14,10 @@ operand's denominators are cleared by their lcm, the two integer rows are
 multiplied once by Kronecker substitution (each row packed into one big
 integer, one digit per coefficient, wide enough that no digit of the
 product overflows), and the first P digits are divided by the product of
-the two lcms.  Over Z/m the residue rows are convolved by numpy in int64
-when (m-1)^2 * P < 2^63, which bounds every sum of products exactly;
-larger moduli take the big-integer route and reduce mod m.  The results
-are identical to the schoolbook double loop, which the tests keep as the
-oracle.
+the two lcms.  Over Z/m the residue rows take the same big-integer route
+and the product is reduced mod m, so it is exact for every modulus.  The
+results are identical to the schoolbook double loop, which the tests keep
+as the oracle.
 """
 
 from __future__ import annotations
@@ -26,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-
-import numpy as np
 
 
 class RingMismatchError(ValueError):
@@ -226,11 +223,6 @@ class QSeries:
             den = la * lb
             out = tuple(Fraction(c, den) for c in
                         _kronecker(_cleared(a, la), _cleared(b, lb)))
-        elif (m - 1) ** 2 * n < 1 << 63:
-            # no int64 sum of n residue products can overflow
-            row = np.convolve(np.array(a, dtype=np.int64),
-                              np.array(b, dtype=np.int64))[:n] % m
-            out = tuple(row.tolist())
         else:
             out = tuple(c % m for c in _kronecker(list(a), list(b)))
         return QSeries._trusted(self.ring, out)
