@@ -16,12 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt
 
 import numpy as np
 
-from .class_numbers import _factorize, class_number_of_field
+from .class_numbers import (
+    _factorize,
+    _mobius_divisors,
+    class_number_of_field,
+)
 
 _CHUNK = 1 << 18
 
@@ -108,15 +111,6 @@ def n2minus(x: int, m: int, n: int) -> int:
 # -- bulk primitive class numbers -------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _mobius_divisors(g: int) -> tuple[tuple[int, int], ...]:
-    # (e, mu(e)) over squarefree divisors e of g
-    out = [(1, 1)]
-    for p, _ in _factorize(g):
-        out += [(e * p, -mu) for e, mu in out]
-    return tuple(out)
-
-
 def _count_chunk(lo: int, hi: int) -> np.ndarray:
     """h(-d) for d in (lo, hi] at index d - lo - 1 (zero off 0,3 mod 4)."""
     counts = np.zeros(hi - lo, dtype=np.int64)
@@ -200,16 +194,16 @@ def _census_population(x: int):
     return ds, field
 
 
-def nonvanishing_census(x: int, workers: int = 1) -> CensusReport:
-    """Count fundamental D = 1 mod 3 in (0, x) whose imaginary quadratic
-    class number h(-D) is prime to 3, against the negative-side progression
-    count N_2^-(x, 1, 3)."""
-    if x < 12:
-        raise ValueError("x must be at least 12")
+def _census_classes(x: int, workers: int):
+    """The census population, its field discriminants and h(-D) for each
+    D, from one class-number table."""
     ds, field = _census_population(x)
     table = class_number_table(int((-field).max()) if len(ds) else 0,
                                workers=workers)
-    h = table[-field - 1]
+    return ds, field, table[-field - 1]
+
+
+def _tally(x: int, h: np.ndarray) -> CensusReport:
     nonvanishing = int(np.count_nonzero(h % 3 != 0))
     n2m = n2minus(x, 1, 3)
     return CensusReport(
@@ -223,15 +217,32 @@ def nonvanishing_census(x: int, workers: int = 1) -> CensusReport:
     )
 
 
+def _rows(ds, field, h) -> list[tuple[int, int, int, int]]:
+    return [(int(d), int(f), int(hh), int(hh % 3))
+            for d, f, hh in zip(ds, field, h)]
+
+
+def nonvanishing_census(x: int, workers: int = 1) -> CensusReport:
+    """Count fundamental D = 1 mod 3 in (0, x) whose imaginary quadratic
+    class number h(-D) is prime to 3, against the negative-side progression
+    count N_2^-(x, 1, 3)."""
+    if x < 12:
+        raise ValueError("x must be at least 12")
+    return _tally(x, _census_classes(x, workers)[2])
+
+
 def census_rows(x: int, workers: int = 1):
     """(D, field_discriminant, h, h mod 3) per fundamental D = 1 mod 3 in
     (0, x), for the CSV output."""
-    ds, field = _census_population(x)
-    table = class_number_table(int((-field).max()) if len(ds) else 0,
-                               workers=workers)
-    h = table[-field - 1]
-    return [(int(d), int(f), int(hh), int(hh % 3))
-            for d, f, hh in zip(ds, field, h)]
+    return _rows(*_census_classes(x, workers))
+
+
+def census_with_rows(x: int, workers: int = 1):
+    """nonvanishing_census and census_rows from one class-number table."""
+    if x < 12:
+        raise ValueError("x must be at least 12")
+    ds, field, h = _census_classes(x, workers)
+    return _tally(x, h), _rows(ds, field, h)
 
 
 def beta_census_crosscheck(x: int, phi_form=None) -> int:

@@ -84,6 +84,15 @@ def _factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _mobius_divisors(n: int) -> tuple[tuple[int, int], ...]:
+    """(e, mu(e)) over the squarefree divisors e of n."""
+    out = [(1, 1)]
+    for p, _ in _factorize(n):
+        out += [(e * p, -mu) for e, mu in out]
+    return tuple(out)
+
+
 def squarefree_kernel(n: int) -> int:
     """The squarefree part of n, carrying n's sign."""
     if n == 0:

@@ -17,13 +17,14 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 
-from .census import census_rows, nonvanishing_census
+from .census import census_with_rows, nonvanishing_census
 from .class_numbers import class_number_of_field, field_discriminant, hurwitz
 from .cohen_eisenstein import cohen_series, theta
 from .congruence_engine import (
     CongruenceReport,
-    _first_difference,
+    direct_report,
     index_gamma0,
     sturm_bound,
     verify_congruence,
@@ -41,8 +42,8 @@ from .constructions import (
     theta_off_multiples_of_three,
 )
 from .level_one_forms import delta, eisenstein
-from .operators import hecke_t, r_t, u_op
-from .qseries import NonIntegralCoefficientError
+from .operators import check_odd_prime, hecke_t, r_t, u_op
+from .qseries import NonIntegralCoefficientError, QSeries
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -119,15 +120,9 @@ def _cmd_expand(args) -> int:
     if args.mod is not None:
         series = series.reduce_mod(args.mod)
     if args.json:
-        payload = series.to_json_dict()
-        if isinstance(form, NamedForm):
-            payload.update({
-                "name": form.name,
-                "twice_weight": form.meta.twice_weight,
-                "level_bound": form.meta.level_bound,
-                "trace": list(form.trace.description),
-            })
-        text = json.dumps(payload, indent=2)
+        shown = replace(form, series=series) \
+            if isinstance(form, NamedForm) else series
+        text = json.dumps(shown.to_json_dict(), indent=2)
     else:
         text = "\n".join(series.to_text_lines())
     if args.out:
@@ -141,55 +136,33 @@ def _cmd_expand(args) -> int:
 # -- verify -----------------------------------------------------------------
 
 
-def _units_from_flag(flag: str):
-    if flag == "auto":
-        return True, None
-    return False, (int(flag),)
-
-
-def _direct_report(lhs_name, rhs_name, lhs_red, rhs_red, m, bound,
-                   units) -> CongruenceReport:
-    # plain coefficient comparison at a caller-chosen depth (no Sturm claim);
-    # a mismatch is reported against the requested unit, or 1 under auto
-    cand = units if units else range(1, m)
-    for unit in cand:
-        if _first_difference(lhs_red, rhs_red, unit, m, bound) is None:
-            return CongruenceReport(lhs_name, rhs_name, m, bound, None,
-                                    "direct", "verified", unit=unit)
-    first = _first_difference(lhs_red, rhs_red, cand[0], m, bound)
-    return CongruenceReport(lhs_name, rhs_name, m, bound, None, "direct",
-                            "mismatch", first_n=first,
-                            lhs_value=lhs_red.coeffs[first],
-                            rhs_value=rhs_red.coeffs[first])
-
-
-def _verify_cong(precision, allow_unit, units) -> CongruenceReport:
+def _verify_cong(precision, units) -> CongruenceReport:
     bound = sturm_bound(20, 324)
     precision = _capped(precision if precision else -(-bound * 6 // 5))
     return verify_congruence(f_form(precision), g31(precision), 3,
-                             allow_unit, units=units)
+                             units=units)
 
 
-def _verify_psi(k, precision, allow_unit, units) -> CongruenceReport:
+def _verify_psi(k, precision, units) -> CongruenceReport:
     bound = sturm_bound(2 * (2 * k + 1), 324)
     precision = _capped(precision if precision else -(-bound * 6 // 5))
     lhs = ap_named(psi(k, precision), 2, 3)
     rhs = hurwitz_progression(precision)
-    return verify_congruence(lhs, rhs, 3, allow_unit, units=units)
+    return verify_congruence(lhs, rhs, 3, units=units)
 
 
 def _verify_remark3(precision, units) -> CongruenceReport:
     precision = _capped(precision if precision else 300)
     lhs = cusp_line_13_half(precision)
     rhs = theta_off_multiples_of_three(precision)
-    return _direct_report(lhs.name, rhs.name,
-                          lhs.series.reduce_mod(3), rhs.series.reduce_mod(3),
-                          3, precision, units)
+    return direct_report(lhs.name, rhs.name, lhs.series.reduce_mod(3),
+                         rhs.series.reduce_mod(3), precision, units)
 
 
 def _verify_ut(ell, precision) -> list[CongruenceReport]:
+    check_odd_prime(ell)
     out_prec = _capped(precision if precision else 100)
-    in_prec = ell * ell * out_prec
+    in_prec = _capped(ell * ell * out_prec)
     sources = [
         ("theta", theta(in_prec).series, 0),
         ("cohen:2", cohen_series(2, in_prec).series, 2),
@@ -200,20 +173,9 @@ def _verify_ut(ell, precision) -> list[CongruenceReport]:
         g = series.primitive().reduce_mod(ell)
         lhs = u_op(g, ell)
         rhs = hecke_t(g ** ell, ell, ell * k + (ell - 1) // 2)
-        depth = min(lhs.precision, rhs.precision, out_prec)
-        first = next((n for n in range(depth)
-                      if lhs.coeffs[n] != rhs.coeffs[n]), None)
-        if first is None:
-            reports.append(CongruenceReport(
-                "%s|U_%d" % (name, ell),
-                "%s^%d|T(%d^2,...)" % (name, ell, ell),
-                ell, depth, None, "direct", "verified", unit=1))
-        else:
-            reports.append(CongruenceReport(
-                "%s|U_%d" % (name, ell),
-                "%s^%d|T(%d^2,...)" % (name, ell, ell),
-                ell, depth, None, "direct", "mismatch", first_n=first,
-                lhs_value=lhs.coeffs[first], rhs_value=rhs.coeffs[first]))
+        reports.append(direct_report(
+            "%s|U_%d" % (name, ell), "%s^%d|T(%d^2,...)" % (name, ell, ell),
+            lhs, rhs, min(lhs.precision, rhs.precision, out_prec), units=(1,)))
     return reports
 
 
@@ -224,17 +186,9 @@ def _verify_rt(precision) -> list[CongruenceReport]:
         if t == 2:
             continue
         series = r_t(t, depth).series.reduce_mod(3)
-        first = next((n for n in range(depth)
-                      if series.coeffs[n] != (1 if n == 0 else 0)), None)
-        if first is None:
-            reports.append(CongruenceReport("r_t(%d)" % t, "1", 3, depth,
-                                            t, "direct", "verified", unit=1))
-        else:
-            reports.append(CongruenceReport("r_t(%d)" % t, "1", 3, depth,
-                                            t, "direct", "mismatch",
-                                            first_n=first,
-                                            lhs_value=series.coeffs[first],
-                                            rhs_value=1 if first == 0 else 0))
+        reports.append(direct_report("r_t(%d)" % t, "1", series,
+                                     QSeries.one(series.ring, depth), depth,
+                                     units=(1,), equalizer_t=t))
     return reports
 
 
@@ -245,13 +199,12 @@ def _report_exit(report: CongruenceReport) -> int:
 
 
 def _cmd_verify(args) -> int:
-    allow_unit, units = _units_from_flag(args.unit)
+    units = None if args.unit == "auto" else (int(args.unit),)
     target = args.target
     if target == "cong":
-        reports = [_verify_cong(args.prec, allow_unit, units)]
+        reports = [_verify_cong(args.prec, units)]
     elif target.startswith("psi:"):
-        reports = [_verify_psi(int(target.split(":")[1]), args.prec,
-                               allow_unit, units)]
+        reports = [_verify_psi(int(target.split(":")[1]), args.prec, units)]
     elif target == "remark3":
         reports = [_verify_remark3(args.prec, units)]
     elif target.startswith("ut:"):
@@ -279,13 +232,14 @@ def _cmd_census(args) -> int:
         raise UsageError("--x must be at least 12")
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
-    report = nonvanishing_census(args.x, workers=args.workers)
     if args.csv:
-        rows = census_rows(args.x, workers=args.workers)
+        report, rows = census_with_rows(args.x, workers=args.workers)
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["D", "field_discriminant", "h", "h_mod_3"])
             writer.writerows(rows)
+    else:
+        report = nonvanishing_census(args.x, workers=args.workers)
     print(json.dumps(report.to_json_dict(), indent=2))
     print("x=%d  N2-(x,1,3)=%d (density %.5f)  3!|h count=%d (density %.5f)"
           % (args.x, report.n2minus_count, float(report.n2minus_density),

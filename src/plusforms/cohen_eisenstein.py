@@ -21,7 +21,7 @@ from math import isqrt
 
 from . import _cache
 from .class_numbers import (
-    _factorize,
+    _mobius_divisors,
     gen_bernoulli,
     hurwitz,
     kronecker,
@@ -69,27 +69,6 @@ class PlusForm:
                 )
 
 
-def _mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    mu = 1
-    for _, e in _factorize(n):
-        if e > 1:
-            return 0
-        mu = -mu
-    return mu
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d * d != n:
-                out.append(n // d)
-    return sorted(out)
-
-
 def _fundamental_decomposition(n0: int) -> tuple[int, int]:
     # n0 = D * f^2 with D fundamental; requires n0 = 0, 1 mod 4
     d0 = squarefree_kernel(n0)
@@ -125,10 +104,8 @@ def cohen_h(r: int, n: int) -> Fraction:
         return Fraction(0)
     d, f = _fundamental_decomposition(n0)
     acc = Fraction(0)
-    for div in _divisors(f):
-        mu = _mobius(div)
-        if mu:
-            acc += mu * kronecker(d, div) * div ** (r - 1) * sigma(2 * r - 1, f // div)
+    for div, mu in _mobius_divisors(f):
+        acc += mu * kronecker(d, div) * div ** (r - 1) * sigma(2 * r - 1, f // div)
     return _l_value(r, d) * acc
 
 

@@ -63,6 +63,27 @@ def sturm_bound(twice_weight: int, level: int) -> int:
     return (prod + 23) // 24 + 1
 
 
+def _r_weights(t: int) -> tuple[int, int]:
+    """Weights of the R factors (heavy side, light side) that bridge an even
+    weight gap t, by the rule in the module docstring; the heavy side's
+    weight rises by the first."""
+    return (4, 6) if t == 2 else (0, t)
+
+
+def _equalize(heavy: QSeries, light: QSeries, t: int,
+              m: int | None = None) -> tuple[QSeries, QSeries]:
+    """Multiply each side by its R factor from _r_weights(t), reduced mod m
+    when m is given."""
+    precision = min(heavy.precision, light.precision)
+    sides = []
+    for side, weight in zip((heavy, light), _r_weights(t)):
+        if weight:
+            r = r_t(weight, precision).series
+            side = side * (r if m is None else r.reduce_mod(m))
+        sides.append(side)
+    return sides[0], sides[1]
+
+
 def equalize_and_integralize(lhs: NamedForm, rhs: NamedForm,
                              m: int) -> tuple[QSeries, QSeries, int, int]:
     """Equalize two half-integral weights with R_t (a mod-3 no-op) and
@@ -79,17 +100,11 @@ def equalize_and_integralize(lhs: NamedForm, rhs: NamedForm,
     if t > 0 and m != 3:
         raise ValueError("R_t is a congruence no-op only modulo 3")
     precision = min(lhs.series.precision, rhs.series.precision)
-    left, right = lhs.series.truncate(precision), rhs.series.truncate(precision)
-    out_tw = wl + 1
-    if t == 2:
-        left = left * r_t(4, precision).series
-        right = right * r_t(6, precision).series
-        out_tw += 8
-    elif t:
-        right = right * r_t(t, precision).series
+    left, right = _equalize(lhs.series.truncate(precision),
+                            rhs.series.truncate(precision), t)
     th = theta(precision).series
     level = lcm(lhs.meta.level_bound, rhs.meta.level_bound, 4)
-    return left * th, right * th, out_tw, level
+    return left * th, right * th, wl + 1 + 2 * _r_weights(t)[0], level
 
 
 @dataclass(frozen=True)
@@ -135,12 +150,43 @@ class CongruenceReport:
         return out
 
 
-def _first_difference(a: QSeries, b: QSeries, unit: int, m: int,
-                      bound: int) -> int | None:
-    for n in range(bound):
-        if a.coeffs[n] != unit * b.coeffs[n] % m:
-            return n
-    return None
+def _first_difference(a: QSeries, b: QSeries, m: int, depth: int,
+                      units: tuple[int, ...]) -> tuple[int | None, int | None]:
+    """Compare two rows reduced mod m on the exponents below depth.  Returns
+    (u, None) for the first u in `units` with a = u * b, else (None, n) with
+    n the first exponent where a != units[0] * b."""
+    firsts = []
+    for unit in units:
+        first = next((n for n in range(depth)
+                      if a.coeffs[n] != unit * b.coeffs[n] % m), None)
+        if first is None:
+            return unit, None
+        firsts.append(first)
+    return None, firsts[0]
+
+
+def _candidate_units(m: int, allow_unit: bool = True) -> tuple[int, ...]:
+    return tuple(u for u in range(1, m) if gcd(u, m) == 1) \
+        if allow_unit else (1,)
+
+
+def direct_report(lhs_name: str, rhs_name: str, lhs: QSeries, rhs: QSeries,
+                  depth: int, units: tuple[int, ...] | None = None,
+                  equalizer_t: int | None = None) -> CongruenceReport:
+    """Plain coefficient comparison of two rows reduced mod m at a
+    caller-chosen depth, with no Sturm claim.  Verified for the first unit
+    in `units` (every unit mod m, from 1, when None) that matches; else a
+    mismatch at the first n where lhs != units[0] * rhs."""
+    m = lhs.ring.modulus
+    unit, first = _first_difference(lhs, rhs, m, depth,
+                                    units or _candidate_units(m))
+    if unit is not None:
+        return CongruenceReport(lhs_name, rhs_name, m, depth, equalizer_t,
+                                "direct", "verified", unit=unit)
+    return CongruenceReport(lhs_name, rhs_name, m, depth, equalizer_t,
+                            "direct", "mismatch", first_n=first,
+                            lhs_value=lhs.coeffs[first],
+                            rhs_value=rhs.coeffs[first])
 
 
 def verify_congruence(lhs: NamedForm, rhs: NamedForm, m: int = 3,
@@ -148,8 +194,11 @@ def verify_congruence(lhs: NamedForm, rhs: NamedForm, m: int = 3,
                       units: tuple[int, ...] | None = None) -> CongruenceReport:
     """Check lhs = unit * rhs mod m up to the Sturm bound of the equalized
     integral-weight pair; units are tried in ascending order starting at 1
-    (or restricted to `units` when given).  Outcomes are reported, never
-    raised."""
+    (or restricted to `units` when given).  A mismatch is reported at the
+    first n where lhs != u0 * rhs, u0 the first unit tried; when the rows
+    match a unit u but the Sturm-level rows do not, at the first n where
+    those differ under u (u^2 under the squared strategy).  For prime m
+    that u is u0.  Outcomes are reported, never raised."""
     if lhs.meta.twice_weight % 2 == 0 or rhs.meta.twice_weight % 2 == 0:
         raise HalfIntegralWeightError("verify_congruence compares "
                                       "half-integral weight forms")
@@ -159,14 +208,13 @@ def verify_congruence(lhs: NamedForm, rhs: NamedForm, m: int = 3,
     gap2 = heavy.meta.twice_weight - light.meta.twice_weight
     level = lcm(heavy.meta.level_bound, light.meta.level_bound, 4)
     if gap2 % 4 == 0:
-        strategy = "theta_integralize"
-        t = gap2 // 2
-        out_tw = heavy.meta.twice_weight + 1 + (8 if t == 2 else 0)
+        strategy, t = "theta_integralize", gap2 // 2
+        out_tw = heavy.meta.twice_weight + 1
     else:
         strategy = "squared"
         t = gap2          # gap of the squared weights, always even
-        out_tw = 2 * heavy.meta.twice_weight + (8 if t == 2 else 0)
-    bound = sturm_bound(out_tw, level)
+        out_tw = 2 * heavy.meta.twice_weight
+    bound = sturm_bound(out_tw + 2 * _r_weights(t)[0], level)
 
     available = min(lhs.series.precision, rhs.series.precision)
     if available < bound:
@@ -176,49 +224,31 @@ def verify_congruence(lhs: NamedForm, rhs: NamedForm, m: int = 3,
 
     hv = heavy.series.truncate(bound).reduce_mod(m)
     lt = light.series.truncate(bound).reduce_mod(m)
-
     if strategy == "theta_integralize":
         th = theta(bound).series.reduce_mod(m)
-        if t == 2:
-            hv_int = hv * r_t(4, bound).series.reduce_mod(m) * th
-            lt_int = lt * r_t(6, bound).series.reduce_mod(m) * th
-        elif t:
-            hv_int = hv * th
-            lt_int = lt * r_t(t, bound).series.reduce_mod(m) * th
-        else:
-            hv_int, lt_int = hv * th, lt * th
+        hv_int, lt_int = _equalize(hv * th, lt * th, t, m)
     else:
-        hv_int = hv * hv
-        lt_int = lt * lt
-        if t == 2:
-            hv_int = hv_int * r_t(4, bound).series.reduce_mod(m)
-            lt_int = lt_int * r_t(6, bound).series.reduce_mod(m)
-        elif t:
-            lt_int = lt_int * r_t(t, bound).series.reduce_mod(m)
+        hv_int, lt_int = _equalize(hv * hv, lt * lt, t, m)
 
     if units is None:
-        units = tuple(u for u in range(1, m) if gcd(u, m) == 1) \
-            if allow_unit else (1,)
+        units = _candidate_units(m, allow_unit)
     elif flipped:
         # requested units speak lhs = u * rhs; internally we test the
         # heavier side against the lighter one
         units = tuple(pow(u, -1, m) for u in units)
-    for unit in units:
-        if _first_difference(hv, lt, unit, m, bound) is not None:
-            continue
+    unit, first = _first_difference(hv, lt, m, bound, units)
+    rows = hv, lt
+    if unit is not None:
         # Sturm-level object: for squares the unit acts as unit^2
         unit_int = unit if strategy == "theta_integralize" else unit * unit % m
-        if _first_difference(hv_int, lt_int, unit_int, m, bound) is None:
+        rows = hv_int, lt_int
+        matched, first = _first_difference(hv_int, lt_int, m, bound,
+                                           (unit_int,))
+        if matched is not None:
             reported = unit if not flipped else pow(unit, -1, m)
             return CongruenceReport(lhs.name, rhs.name, m, bound, t, strategy,
                                     "verified", unit=reported)
-
-    first = _first_difference(hv, lt, 1, m, bound)
-    if first is None:          # raw rows agree but the Sturm object differs
-        first = _first_difference(hv_int, lt_int, 1, m, bound)
-        lhs_val, rhs_val = hv_int.coeffs[first], lt_int.coeffs[first]
-    else:
-        lhs_val, rhs_val = hv.coeffs[first], lt.coeffs[first]
+    lhs_val, rhs_val = rows[0].coeffs[first], rows[1].coeffs[first]
     if flipped:
         lhs_val, rhs_val = rhs_val, lhs_val
     return CongruenceReport(lhs.name, rhs.name, m, bound, t, strategy,

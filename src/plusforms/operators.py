@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from . import _cache
-from .class_numbers import kronecker
+from .class_numbers import _factorize, kronecker
 from .level_one_forms import Form, FormMeta, eisenstein
 from .qseries import QSeries, RATIONAL
 
@@ -117,15 +117,10 @@ def ap_project(g: QSeries, a: int, modulus: int) -> QSeries:
                          for n, c in enumerate(g.coeffs)))
 
 
-def _is_odd_prime(n: int) -> bool:
-    if n < 3 or n % 2 == 0:
-        return False
-    p = 3
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 2
-    return True
+def check_odd_prime(ell: int) -> None:
+    """Raise NotOddPrimeError unless ell is an odd prime."""
+    if ell < 3 or _factorize(ell) != [(ell, 1)]:
+        raise NotOddPrimeError("%r is not an odd prime" % (ell,))
 
 
 def hecke_t(g: QSeries, ell: int, k: int) -> QSeries:
@@ -137,8 +132,7 @@ def hecke_t(g: QSeries, ell: int, k: int) -> QSeries:
     with c(n/l^2) = 0 unless l^2 | n.  Input precision l^2 * P yields
     output precision P.
     """
-    if not _is_odd_prime(ell):
-        raise NotOddPrimeError("%r is not an odd prime" % (ell,))
+    check_odd_prime(ell)
     ell2 = ell * ell
     out_prec = (g.precision + ell2 - 1) // ell2
     sign = -1 if k % 2 else 1

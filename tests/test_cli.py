@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from plusforms import cli
+from plusforms import census, cli
 
 
 def run(capsys, *argv):
@@ -104,6 +105,73 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "bogus")
         assert code == 64
 
+    def test_psi_unit_2_reports_first_mismatch(self, capsys):
+        code, out, _ = run(capsys, "verify", "psi:12", "--unit", "2")
+        assert code == 1
+        report = json.loads(out)
+        assert report["status"] == "mismatch"
+        first = report["first_mismatch"]
+        assert isinstance(first["n"], int)
+        assert first["lhs"] != 2 * first["rhs"] % 3
+
+    def test_ut_rejects_non_prime_before_building(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built a series for a rejected target")
+
+        monkeypatch.setattr(cli, "theta", refuse)
+        monkeypatch.setattr(cli, "cohen_series", refuse)
+        code, out, err = run(capsys, "verify", "ut:4")
+        assert code == 64 and out == ""
+        assert "not an odd prime" in err
+
+    def test_ut_input_precision_is_capped(self, capsys, monkeypatch):
+        built = []
+
+        def recording(builder):
+            def build(*args):
+                form = builder(*args)
+                built.append(form.series.precision)
+                return form
+            return build
+
+        monkeypatch.setenv("PLUSFORMS_PREC_CAP", "90")
+        monkeypatch.setattr(cli, "theta", recording(cli.theta))
+        monkeypatch.setattr(cli, "cohen_series", recording(cli.cohen_series))
+        code, _, _ = run(capsys, "verify", "ut:3")
+        assert code == 0
+        assert len(built) == 3 and max(built) <= 90
+
+
+# exit code and SHA-256 of the stdout of each invocation: these reports are
+# a stable output format, pinned byte for byte
+PINNED_OUTPUTS = [
+    (("verify", "rt", "--prec", "40"), 0,
+     "eafaf1c536301b732f01fde01fa5fed4331d6486c2e085253e389ffb387ce483"),
+    (("verify", "ut:3", "--prec", "25"), 0,
+     "bff876948a0ce36877dd7bdf7076c8a3a869403374c174f6a819e0b8db4bfd15"),
+    (("verify", "remark3", "--prec", "120"), 0,
+     "468bc00234bb2d6997d902d76c320f592cb09fc200d67adc0e3f74bd2d683239"),
+    (("verify", "remark3", "--prec", "120", "--unit", "2"), 1,
+     "68cfb1334d5f3cab7e3e14220e64644745fea5d665be11ecb0824f4b9a08bdf1"),
+    (("verify", "cong", "--unit", "1"), 1,
+     "5034e1695b191573ba22dda232a4ba4bcbd771de55df0a22a34afcad3a57a9d4"),
+    (("verify", "cong"), 0,
+     "04bf260c7d1c632c37ecdffea2735e998b1dfdf756b95119c3be9a89a4346859"),
+    (("verify", "psi:12"), 0,
+     "7ef7a16bffe6bfcd1db11d8b7d87a99a5b8f344f303b1ddeb140755d5412b61d"),
+    (("expand", "--form", "phi:9", "--prec", "30", "--mod", "3", "--json"), 0,
+     "2929a72b1756068bdb9853cc0f863597fbb5c5c603840a8e6bad054044b80dad"),
+]
+
+
+@pytest.mark.parametrize("argv,exit_code,digest", PINNED_OUTPUTS,
+                         ids=["_".join(a.lstrip("-") for a in c[0])
+                              for c in PINNED_OUTPUTS])
+def test_pinned_output(capsys, argv, exit_code, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestCensusCommand:
     def test_json_and_determinism(self, capsys):
@@ -124,6 +192,25 @@ class TestCensusCommand:
         lines = target.read_text().splitlines()
         assert lines[0] == "D,field_discriminant,h,h_mod_3"
         assert "13,-52,2,2" in lines
+
+    def test_csv_run_builds_one_table(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        table = census.class_number_table
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return table(*args, **kwargs)
+
+        monkeypatch.setattr(census, "class_number_table", counting)
+        target = tmp_path / "rows.csv"
+        code, out, _ = run(capsys, "census", "--x", "1000",
+                           "--csv", str(target))
+        assert code == 0 and len(calls) == 1
+        # the JSON report and the CSV are pinned byte for byte
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "e03f615ca0563193cbbb3b0da5a7e93651a3e6843a039369ff221351f47d07c5"
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == \
+            "f112ae2b2472625af36581c6e31e8507b35172825f39a1b0954e412b0e461d40"
 
     def test_too_small_x(self, capsys):
         code, _, _ = run(capsys, "census", "--x", "10")

@@ -3,6 +3,7 @@ import pytest
 from plusforms.congruence_engine import (
     HalfIntegralWeightError,
     IncompatibleWeightsError,
+    direct_report,
     equalize_and_integralize,
     index_gamma0,
     sturm_bound,
@@ -19,7 +20,7 @@ from plusforms.constructions import (
 )
 from plusforms.level_one_forms import FormMeta
 from plusforms.operators import OperatorTrace
-from plusforms.qseries import QSeries
+from plusforms.qseries import QSeries, RingTag
 
 
 def _named(name, series, twice_weight, level):
@@ -139,3 +140,51 @@ class TestVerify:
         assert payload["unit"] == 2
         assert set(payload) >= {"lhs", "rhs", "modulus", "bound",
                                 "equalizer_t", "status", "unit"}
+
+
+class TestMismatchUnit:
+    def test_mismatch_against_requested_unit_on_squared_path(self):
+        # the raw rows agree under unit 1 but not under the requested unit 2
+        p = 1622
+        report = verify_congruence(ap_named(psi(12, p), 2, 3),
+                                   hurwitz_progression(p), 3, units=(2,))
+        assert report.status == "mismatch"
+        assert report.lhs_value != 2 * report.rhs_value % 3
+
+    def test_direct_mismatch_is_reported_against_unit_1_under_auto(self):
+        # unit 1 first fails at n = 1, unit 2 already at n = 0
+        lhs = QSeries(RingTag(3), (1, 1, 0))
+        rhs = QSeries(RingTag(3), (1, 2, 0))
+        report = direct_report("a", "b", lhs, rhs, 3)
+        assert report.status == "mismatch"
+        assert (report.first_n, report.lhs_value, report.rhs_value) == \
+            (1, 1, 2)
+        assert direct_report("a", "b", lhs, lhs, 3).unit == 1
+        assert direct_report("a", "b", lhs, lhs.scale(2), 3).unit == 2
+
+
+class TestGapTwo:
+    def test_r4_on_the_heavy_side_and_r6_on_the_light_side(self):
+        from plusforms.cohen_eisenstein import theta
+        from plusforms.operators import r_t
+
+        p = 20
+        series = g31(p).series
+        heavy = _named("heavy", series, 7, 4)
+        light = _named("light", series, 3, 4)
+        lhs, rhs, tw, level = equalize_and_integralize(heavy, light, 3)
+        th = theta(p).series
+        assert tw == 16 and level == 4
+        assert lhs == series * r_t(4, p).series * th
+        assert rhs == series * r_t(6, p).series * th
+
+    @pytest.mark.parametrize("heavy_tw,strategy,out_tw", [
+        (7, "theta_integralize", 7 + 1 + 8), (5, "squared", 2 * 5 + 8)])
+    def test_verify_bound_counts_the_r4_weight(self, heavy_tw, strategy,
+                                                out_tw):
+        series = g31(20).series
+        report = verify_congruence(_named("heavy", series, heavy_tw, 4),
+                                   _named("light", series, 3, 4), 3)
+        assert report.verified and report.strategy == strategy
+        assert report.weight_equalizer == 2
+        assert report.bound_used == sturm_bound(out_tw, 4)
