@@ -1,32 +1,26 @@
 """Discriminant sieves, class-number batches, and density censuses.
 
-The bulk class-number engine enumerates every reduced positive-definite
-form (a, b, c) with discriminant in a target window and accumulates the
-counts with strided numpy slice additions, so the per-form cost is a C
-loop rather than a Python one.  Primitivity is enforced with a Mobius
-inclusion-exclusion over gcd(a, b).  The per-discriminant route in
+The bulk class-number engine walks every (a, beta) pair once, counts every
+reduced form of discriminant -d, primitive or not, with strided numpy slice
+additions on one int32 row, and takes primitive class numbers by a Mobius
+inversion over square divisors f^2 | d.  A table may cover one class
+d = r mod s with s | 24 and gcd(r, s) = 1, which the inversion never leaves;
+the census asks for d = 1 mod 3 only.  Several workers split the a-range
+into interleaved stripes whose counts are summed exactly, so results are
+bit-identical for any worker count.  The per-discriminant route in
 class_numbers stays the oracle; the tests hold the two against each other.
-
-Ranges are processed in fixed-size chunks whose layout does not depend on
-the worker count, so results are bit-identical no matter how the work is
-distributed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, isqrt
 
 import numpy as np
 
-from .class_numbers import (
-    _factorize,
-    _mobius_divisors,
-    class_number_of_field,
-)
-
-_CHUNK = 1 << 18
+from .class_numbers import _factorize
 
 NINE_OVER_8PI2 = "0.11398"
 NINE_OVER_16PI2 = "0.05699"
@@ -111,45 +105,61 @@ def n2minus(x: int, m: int, n: int) -> int:
 # -- bulk primitive class numbers -------------------------------------------
 
 
-def _count_chunk(lo: int, hi: int) -> np.ndarray:
-    """h(-d) for d in (lo, hi] at index d - lo - 1 (zero off 0,3 mod 4)."""
-    counts = np.zeros(hi - lo, dtype=np.int64)
-    for a in range(1, isqrt(hi // 3) + 1):
-        four_a = 4 * a
+def _count_forms(limit: int, modulus: int, first: int, stripes: int,
+                 stripe: int) -> np.ndarray:
+    """N(d), the number of reduced forms of discriminant -d, primitive or
+    not, for d <= limit in the class of first mod modulus, at index
+    (d - first) // modulus, from the a = stripe + 1 mod stripes only."""
+    counts = np.zeros(max(0, (limit - first) // modulus + 1), np.int32)
+    for a in range(stripe + 1, isqrt(limit // 3) + 1, stripes):
+        g = gcd(4 * a, modulus)
+        step, period = 4 * a // g, modulus // g  # strides of index and c
+        inverse = pow(step, -1, period)
         for beta in range(a + 1):
             bb = beta * beta
-            cmax = (hi + bb) // four_a
-            if cmax < a:
+            # c = c0 + k * period, k <= n: c >= a, 4ac - bb = first mod modulus
+            c0 = a + ((first + bb) // g * inverse - a) % period
+            n = ((limit + bb) // (4 * a) - c0) // period
+            if (first + bb) % g or n < 0:
                 continue
-            cmin = max(a, -(-(lo + 1 + bb) // four_a))
-            starts = [cmin] if beta in (0, a) else [cmin, max(cmin, a + 1)]
-            for e, mu in _mobius_divisors(gcd(a, beta) if beta else a):
-                step = four_a * e
-                for c_from in starts:
-                    c0 = c_from if e == 1 else -(-c_from // e) * e
-                    if c0 > cmax:
-                        continue
-                    first = four_a * c0 - bb - lo - 1
-                    last = four_a * (c0 + (cmax - c0) // e * e) - bb - lo - 1
-                    counts[first:last + 1:step] += mu
+            lo = (4 * a * c0 - bb - first) // modulus
+            # b = +beta from c >= a, and b = -beta (0 < beta < a) from c > a
+            twice = 0 < beta < a
+            counts[lo:lo + n * step + 1:step] += 1 + twice
+            if twice and c0 == a:
+                counts[lo] -= 1
     return counts
 
 
-def class_number_table(limit: int, workers: int = 1) -> np.ndarray:
-    """h(-d) for 1 <= d <= limit (index d - 1), chunked deterministically."""
-    spans = [(lo, min(lo + _CHUNK, limit)) for lo in range(0, limit, _CHUNK)]
-    if workers > 1 and len(spans) > 1:
+def class_number_table(limit: int, workers: int = 1, modulus: int = 1,
+                       residue: int = 0) -> np.ndarray:
+    """h(-d) for 1 <= d <= limit with d = residue mod modulus, at index
+    (d - d0) // modulus where d0 is the least positive member of the class
+    (index d - 1 by default).  Zero unless d is 0 or 3 mod 4."""
+    if modulus < 1 or 24 % modulus or gcd(residue, modulus) != 1:
+        raise ValueError("the Mobius step over f^2 stays in d = r mod s "
+                         "only for s | 24 and gcd(r, s) = 1")
+    first = (residue - 1) % modulus + 1
+    stripes = max(1, min(workers, isqrt(limit // 3)))
+    if stripes > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_count_chunk_star, spans))
+        with ProcessPoolExecutor(max_workers=stripes) as pool:
+            counts = sum(pool.map(
+                partial(_count_forms, limit, modulus, first, stripes),
+                range(stripes)))
     else:
-        parts = [_count_chunk(lo, hi) for lo, hi in spans]
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-
-
-def _count_chunk_star(span: tuple[int, int]) -> np.ndarray:
-    return _count_chunk(*span)
+        counts = _count_forms(limit, modulus, first, 1, 0)
+    # h(d) = sum over f^2 | d of mu(f) N(d / f^2), applied as one factor
+    # N(d) - N(d / p^2) per prime p; p^2 = 1 mod modulus for p prime to it,
+    # so d / p^2 lies in the class of d
+    for p in range(2, isqrt(limit // first) + 1):
+        if modulus % p == 0 or _factorize(p) != [(p, 1)]:
+            continue
+        n = (limit // (p * p) - first) // modulus + 1
+        start = (p * p - 1) * first // modulus
+        counts[start:start + p * p * (n - 1) + 1:p * p] -= counts[:n]
+    return counts
 
 
 # -- the census ---------------------------------------------------------------
@@ -198,9 +208,10 @@ def _census_classes(x: int, workers: int):
     """The census population, its field discriminants and h(-D) for each
     D, from one class-number table."""
     ds, field = _census_population(x)
+    # -field is 4D, D or D/4 with D = 1 mod 3, so it is 1 mod 3 as well
     table = class_number_table(int((-field).max()) if len(ds) else 0,
-                               workers=workers)
-    return ds, field, table[-field - 1]
+                               workers=workers, modulus=3, residue=1)
+    return ds, field, table[(-field - 1) // 3]
 
 
 def _tally(x: int, h: np.ndarray) -> CensusReport:
@@ -257,14 +268,13 @@ def beta_census_crosscheck(x: int, phi_form=None) -> int:
     if phi_form.series.precision < x:
         raise ValueError("phi(9) precision %d < x = %d"
                          % (phi_form.series.precision, x))
-    mask = fundamental_positive_mask(x)
+    ds, _, hs = _census_classes(x, 1)
     checked = 0
-    for d in range(2, x):
-        if not mask[d] or d % 3 != 1 or d % 4 not in (0, 3):
+    for d, h in zip(ds.tolist(), hs.tolist()):
+        if d % 4:  # off the plus-space support D = 0, 3 mod 4
             continue
         beta = phi_form.series.coeffs[d]
         beta_res = beta.numerator * pow(beta.denominator, -1, 3) % 3
-        h = class_number_of_field(-d)
         if (beta_res != 0) != (h % 3 != 0):
             raise BridgeViolationError(d)
         checked += 1

@@ -74,8 +74,17 @@ def _prec_cap() -> int | None:
 
 
 def _capped(precision: int) -> int:
+    if precision < 1:
+        raise UsageError("--prec must be >= 1")
     cap = _prec_cap()
     return precision if cap is None else min(precision, cap)
+
+
+def _open_output(path: str, **kwargs):
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as exc:
+        raise UsageError("cannot write %s: %s" % (path, exc.strerror or exc))
 
 
 # -- expand -----------------------------------------------------------------
@@ -126,7 +135,7 @@ def _cmd_expand(args) -> int:
     else:
         text = "\n".join(series.to_text_lines())
     if args.out:
-        with open(args.out, "w") as fh:
+        with _open_output(args.out) as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -138,21 +147,21 @@ def _cmd_expand(args) -> int:
 
 def _verify_cong(precision, units) -> CongruenceReport:
     bound = sturm_bound(20, 324)
-    precision = _capped(precision if precision else -(-bound * 6 // 5))
+    precision = _capped(-(-bound * 6 // 5) if precision is None else precision)
     return verify_congruence(f_form(precision), g31(precision), 3,
                              units=units)
 
 
 def _verify_psi(k, precision, units) -> CongruenceReport:
     bound = sturm_bound(2 * (2 * k + 1), 324)
-    precision = _capped(precision if precision else -(-bound * 6 // 5))
+    precision = _capped(-(-bound * 6 // 5) if precision is None else precision)
     lhs = ap_named(psi(k, precision), 2, 3)
     rhs = hurwitz_progression(precision)
     return verify_congruence(lhs, rhs, 3, units=units)
 
 
 def _verify_remark3(precision, units) -> CongruenceReport:
-    precision = _capped(precision if precision else 300)
+    precision = _capped(300 if precision is None else precision)
     lhs = cusp_line_13_half(precision)
     rhs = theta_off_multiples_of_three(precision)
     return direct_report(lhs.name, rhs.name, lhs.series.reduce_mod(3),
@@ -161,7 +170,7 @@ def _verify_remark3(precision, units) -> CongruenceReport:
 
 def _verify_ut(ell, precision) -> list[CongruenceReport]:
     check_odd_prime(ell)
-    out_prec = _capped(precision if precision else 100)
+    out_prec = _capped(100 if precision is None else precision)
     in_prec = _capped(ell * ell * out_prec)
     sources = [
         ("theta", theta(in_prec).series, 0),
@@ -180,7 +189,7 @@ def _verify_ut(ell, precision) -> list[CongruenceReport]:
 
 
 def _verify_rt(precision) -> list[CongruenceReport]:
-    depth = _capped(precision if precision else 100)
+    depth = _capped(100 if precision is None else precision)
     reports = []
     for t in range(0, 41, 2):
         if t == 2:
@@ -233,8 +242,8 @@ def _cmd_census(args) -> int:
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
     if args.csv:
-        report, rows = census_with_rows(args.x, workers=args.workers)
-        with open(args.csv, "w", newline="") as fh:
+        with _open_output(args.csv, newline="") as fh:
+            report, rows = census_with_rows(args.x, workers=args.workers)
             writer = csv.writer(fh)
             writer.writerow(["D", "field_discriminant", "h", "h_mod_3"])
             writer.writerows(rows)

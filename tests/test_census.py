@@ -1,9 +1,9 @@
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plusforms.census import (
     BridgeViolationError,
-    _count_chunk,
     beta_census_crosscheck,
     census_rows,
     class_number_table,
@@ -69,11 +69,22 @@ class TestBatchClassNumbers:
             expected = form_class_number(-d) if d % 4 in (0, 3) else 0
             assert table[d - 1] == expected, d
 
-    def test_chunk_layout_independence(self):
-        whole = _count_chunk(0, 1500)
-        pieces = [_count_chunk(lo, min(lo + 113, 1500))
-                  for lo in range(0, 1500, 113)]
-        assert np.concatenate(pieces).tolist() == whole.tolist()
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 3000), st.sampled_from([(1, 0), (3, 1)]),
+           st.sampled_from([1, 2]))
+    def test_residue_class_matches_oracle(self, limit, cls, workers):
+        modulus, residue = cls
+        table = class_number_table(limit, workers, modulus, residue)
+        # index (d - d0) // modulus, d0 the least positive member
+        expected = [form_class_number(-d) if d % 4 in (0, 3) else 0
+                    for d in range(1, limit + 1) if d % modulus == residue]
+        assert table.tolist() == expected
+
+    @pytest.mark.parametrize("modulus,residue",
+                             [(5, 1), (9, 1), (3, 0), (4, 2), (0, 1)])
+    def test_rejects_classes_the_mobius_step_leaves(self, modulus, residue):
+        with pytest.raises(ValueError):
+            class_number_table(100, modulus=modulus, residue=residue)
 
     def test_worker_determinism(self):
         a = class_number_table(1200, workers=1)

@@ -58,6 +58,20 @@ class TestExpand:
         code, _, _ = run(capsys, "expand", "--form", "nope", "--prec", "5")
         assert code == 64
 
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "theta.tsv"
+        code, out, err = run(capsys, "expand", "--form", "theta",
+                             "--prec", "5", "--out", str(target))
+        assert code == 64 and out == ""
+        assert err.startswith("plusforms: cannot write")
+
+    @pytest.mark.parametrize("prec", ["0", "-3"])
+    def test_prec_below_one_is_usage_error(self, capsys, prec):
+        code, out, err = run(capsys, "expand", "--form", "theta",
+                             "--prec", prec)
+        assert code == 64 and out == ""
+        assert "--prec must be >= 1" in err
+
     def test_non_integral_reduction_exits_3(self, capsys):
         code, _, err = run(capsys, "expand", "--form", "cohen:2",
                            "--prec", "8", "--mod", "3")
@@ -100,6 +114,14 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "cong")
         assert code == 2
         assert json.loads(out)["status"] == "insufficient_precision"
+
+    @pytest.mark.parametrize("target", ["cong", "psi:12", "remark3",
+                                        "ut:3", "rt"])
+    @pytest.mark.parametrize("prec", ["0", "-1"])
+    def test_prec_below_one_is_usage_error(self, capsys, target, prec):
+        code, out, err = run(capsys, "verify", target, "--prec", prec)
+        assert code == 64 and out == ""
+        assert "--prec must be >= 1" in err
 
     def test_unknown_target(self, capsys):
         code, _, _ = run(capsys, "verify", "bogus")
@@ -211,6 +233,31 @@ class TestCensusCommand:
             "e03f615ca0563193cbbb3b0da5a7e93651a3e6843a039369ff221351f47d07c5"
         assert hashlib.sha256(target.read_bytes()).hexdigest() == \
             "f112ae2b2472625af36581c6e31e8507b35172825f39a1b0954e412b0e461d40"
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_pinned_output_across_the_old_chunk_boundary(
+            self, capsys, tmp_path, workers):
+        # x = 10^5 needs h(-d) for d up to about 4x, past 2^18
+        target = tmp_path / "rows.csv"
+        code, out, _ = run(capsys, "census", "--x", "100000",
+                           "--workers", workers, "--csv", str(target))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "970b32348bde5a87a93cbf02ff0912c3aaaba25769c2782dece97ef61f953ea4"
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == \
+            "ba3a6f55667d812051a2a93b46ecdee7495922011eedd5b1784e8e08c4510f5b"
+
+    def test_unwritable_csv_fails_before_the_table(self, capsys, tmp_path,
+                                                   monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a table for an unwritable CSV")
+
+        monkeypatch.setattr(census, "class_number_table", refuse)
+        target = tmp_path / "missing" / "rows.csv"
+        code, out, err = run(capsys, "census", "--x", "50",
+                             "--csv", str(target))
+        assert code == 64 and out == ""
+        assert err.startswith("plusforms: cannot write")
 
     def test_too_small_x(self, capsys):
         code, _, _ = run(capsys, "census", "--x", "10")
