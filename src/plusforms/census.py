@@ -1,26 +1,19 @@
-"""Discriminant sieves, class-number batches, and density censuses.
+"""Discriminant sieves and density censuses.
 
-The bulk class-number engine walks every (a, beta) pair once, counts every
-reduced form of discriminant -d, primitive or not, with strided numpy slice
-additions on one int32 row, and takes primitive class numbers by a Mobius
-inversion over square divisors f^2 | d.  A table may cover one class
-d = r mod s with s | 24 and gcd(r, s) = 1, which the inversion never leaves;
-the census asks for d = 1 mod 3 only.  Several workers split the a-range
-into interleaved stripes whose counts are summed exactly, so results are
-bit-identical for any worker count.  The per-discriminant route in
-class_numbers stays the oracle; the tests hold the two against each other.
+The census takes fundamental discriminants from numpy sieves and its class
+numbers h(-D) from one class_numbers.class_number_table per run, over the
+class d = 1 mod 3 only (every field discriminant it needs lies there).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import gcd, isqrt
 
 import numpy as np
 
-from .class_numbers import _factorize
+from .class_numbers import _factorize, class_number_table
 
 NINE_OVER_8PI2 = "0.11398"
 NINE_OVER_16PI2 = "0.05699"
@@ -62,30 +55,27 @@ def _squarefree_flags(limit: int) -> np.ndarray:
     return flags
 
 
+def _fundamental_mask(x: int, sign: int) -> np.ndarray:
+    # mask[j] for D = sign * j: D = 1 mod 4 squarefree, or D = 4m with
+    # m = 2, 3 mod 4 squarefree; strided slices, no index temporaries
+    sf = _squarefree_flags(x)
+    mask = np.zeros(x, dtype=bool)
+    odd = sign % 4
+    mask[odd::4] = sf[odd:x:4]
+    for q in (2, 3):
+        m0 = q * sign % 4
+        mask[4 * m0::16] = sf[m0:(x - 1) // 4 + 1:4]
+    return mask
+
+
 def fundamental_negative_mask(x: int) -> np.ndarray:
     """mask[j] (1 <= j < x) says whether D = -j is a fundamental discriminant."""
-    sf = _squarefree_flags(x)
-    j = np.arange(x, dtype=np.int64)
-    mask = np.zeros(x, dtype=bool)
-    odd = (j % 4 == 3) & sf[:x]
-    mask |= odd
-    quarters = j // 4
-    four = (j % 4 == 0) & (j > 0) & np.isin(quarters % 4, (1, 2)) & sf[quarters]
-    mask |= four
-    mask[0] = False
-    return mask
+    return _fundamental_mask(x, -1)
 
 
 def fundamental_positive_mask(x: int) -> np.ndarray:
     """mask[d] (1 <= d < x) says whether d is a fundamental discriminant."""
-    sf = _squarefree_flags(x)
-    d = np.arange(x, dtype=np.int64)
-    mask = np.zeros(x, dtype=bool)
-    mask |= (d % 4 == 1) & sf[:x]
-    quarters = d // 4
-    mask |= (d % 4 == 0) & (d > 0) & np.isin(quarters % 4, (2, 3)) & sf[quarters]
-    mask[0] = False
-    return mask
+    return _fundamental_mask(x, 1)
 
 
 def n2minus(x: int, m: int, n: int) -> int:
@@ -97,69 +87,8 @@ def n2minus(x: int, m: int, n: int) -> int:
 
         warnings.warn("progression (%d mod %d) fails the compatibility "
                       "condition; the count is still well-defined" % (m, n))
-    mask = fundamental_negative_mask(x)
-    j = np.arange(x, dtype=np.int64)
-    return int(np.count_nonzero(mask & ((-j) % n == m % n)))
-
-
-# -- bulk primitive class numbers -------------------------------------------
-
-
-def _count_forms(limit: int, modulus: int, first: int, stripes: int,
-                 stripe: int) -> np.ndarray:
-    """N(d), the number of reduced forms of discriminant -d, primitive or
-    not, for d <= limit in the class of first mod modulus, at index
-    (d - first) // modulus, from the a = stripe + 1 mod stripes only."""
-    counts = np.zeros(max(0, (limit - first) // modulus + 1), np.int32)
-    for a in range(stripe + 1, isqrt(limit // 3) + 1, stripes):
-        g = gcd(4 * a, modulus)
-        step, period = 4 * a // g, modulus // g  # strides of index and c
-        inverse = pow(step, -1, period)
-        for beta in range(a + 1):
-            bb = beta * beta
-            # c = c0 + k * period, k <= n: c >= a, 4ac - bb = first mod modulus
-            c0 = a + ((first + bb) // g * inverse - a) % period
-            n = ((limit + bb) // (4 * a) - c0) // period
-            if (first + bb) % g or n < 0:
-                continue
-            lo = (4 * a * c0 - bb - first) // modulus
-            # b = +beta from c >= a, and b = -beta (0 < beta < a) from c > a
-            twice = 0 < beta < a
-            counts[lo:lo + n * step + 1:step] += 1 + twice
-            if twice and c0 == a:
-                counts[lo] -= 1
-    return counts
-
-
-def class_number_table(limit: int, workers: int = 1, modulus: int = 1,
-                       residue: int = 0) -> np.ndarray:
-    """h(-d) for 1 <= d <= limit with d = residue mod modulus, at index
-    (d - d0) // modulus where d0 is the least positive member of the class
-    (index d - 1 by default).  Zero unless d is 0 or 3 mod 4."""
-    if modulus < 1 or 24 % modulus or gcd(residue, modulus) != 1:
-        raise ValueError("the Mobius step over f^2 stays in d = r mod s "
-                         "only for s | 24 and gcd(r, s) = 1")
-    first = (residue - 1) % modulus + 1
-    stripes = max(1, min(workers, isqrt(limit // 3)))
-    if stripes > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=stripes) as pool:
-            counts = sum(pool.map(
-                partial(_count_forms, limit, modulus, first, stripes),
-                range(stripes)))
-    else:
-        counts = _count_forms(limit, modulus, first, 1, 0)
-    # h(d) = sum over f^2 | d of mu(f) N(d / f^2), applied as one factor
-    # N(d) - N(d / p^2) per prime p; p^2 = 1 mod modulus for p prime to it,
-    # so d / p^2 lies in the class of d
-    for p in range(2, isqrt(limit // first) + 1):
-        if modulus % p == 0 or _factorize(p) != [(p, 1)]:
-            continue
-        n = (limit // (p * p) - first) // modulus + 1
-        start = (p * p - 1) * first // modulus
-        counts[start:start + p * p * (n - 1) + 1:p * p] -= counts[:n]
-    return counts
+    # D = -j = m mod N means j = -m mod N; mask[0] is False
+    return int(np.count_nonzero(fundamental_negative_mask(x)[-m % n::n]))
 
 
 # -- the census ---------------------------------------------------------------
@@ -194,10 +123,7 @@ class CensusReport:
 def _census_population(x: int):
     """Fundamental D with 0 < D < x, D = 1 mod 3, plus the discriminant of
     Q(sqrt(-D)) for each."""
-    mask = fundamental_positive_mask(x)
-    d = np.arange(x, dtype=np.int64)
-    mask &= d % 3 == 1
-    ds = d[mask]
+    ds = 3 * np.flatnonzero(fundamental_positive_mask(x)[1::3]) + 1
     quarters = ds // 4
     field = np.where(ds % 4 == 1, -4 * ds,
                      np.where(quarters % 4 == 2, -ds, -quarters))

@@ -1,19 +1,31 @@
 """Kronecker symbols, fundamental discriminants, and class numbers.
 
-Imaginary-quadratic class numbers are counted by enumerating SL_2(Z)-reduced
-primitive positive-definite binary quadratic forms.  Generalized Bernoulli
-numbers give a second, independent route to the same values through
-h(D) = -B_{1,chi_D}; the test suite keeps both routes honest against each
-other.  Hurwitz class numbers combine the form counts over imprimitive
-discriminants with the usual 1/2 and 1/3 weights at -4 and -3.
+One batch engine, _count_forms, walks every (a, beta) pair once and counts
+every reduced form of discriminant -d, primitive or not, along one class
+d = r mod s with strided numpy slice additions.  Two tables read it:
+class_number_table takes primitive class numbers h(-d) by a Mobius
+inversion over square divisors f^2 | d, which stays in the class only for
+s | 24 and gcd(r, s) = 1; hurwitz_numbers takes the Hurwitz numbers H(n)
+directly, weighting (a, 0, a) by 1/2 and (a, a, a) by 1/3, for any s.
+Several workers may split the a-range of class_number_table into
+interleaved stripes whose counts are summed exactly, so results are
+bit-identical for any worker count.
+
+form_class_number and hurwitz_weighted_form_count enumerate the reduced
+forms of one discriminant at a time; they are the oracles the tests hold
+the engine against, and class_number_of_field reads form_class_number.
+Generalized Bernoulli numbers give an independent route to h through
+h(D) = -B_{1,chi_D}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, gcd, isqrt, lcm
+
+import numpy as np
 
 from .level_one_forms import bernoulli
 
@@ -136,32 +148,32 @@ class Discriminant:
         return cls(value, is_fundamental(value))
 
 
+def _reduced_forms(disc: int):
+    """The reduced forms (a, b, c) of discriminant disc < 0, primitive or
+    not: |b| <= a <= c with b >= 0 whenever |b| = a or a = c."""
+    for a in range(1, isqrt(-disc // 3) + 1):
+        four_a = 4 * a
+        for b in range(-a + 1, a + 1):
+            num = b * b - disc
+            if num % four_a == 0:
+                c = num // four_a
+                if c > a or (c == a and b >= 0):
+                    yield a, b, c
+
+
 @lru_cache(maxsize=None)
 def form_class_number(disc: int) -> int:
-    """Number of primitive reduced forms (a, b, c) of discriminant disc < 0.
+    """Number of primitive reduced forms of discriminant disc < 0, one
+    discriminant at a time: the oracle for class_number_table.
 
-    Reduced means |b| <= a <= c with b >= 0 whenever |b| = a or a = c.
     Valid for any negative integer disc congruent to 0 or 1 mod 4.
     """
     if disc >= 0:
         raise NonNegativeInputError("discriminant must be negative")
     if disc % 4 not in (0, 1):
         raise ValueError("%d is not a discriminant" % disc)
-    count = 0
-    for a in range(1, isqrt(-disc // 3) + 1):
-        four_a = 4 * a
-        for b in range(-a + 1, a + 1):
-            num = b * b - disc
-            if num % four_a:
-                continue
-            c = num // four_a
-            if c < a:
-                continue
-            if c == a and b < 0:
-                continue
-            if gcd(gcd(a, abs(b)), c) == 1:
-                count += 1
-    return count
+    return sum(1 for a, b, c in _reduced_forms(disc)
+               if gcd(gcd(a, abs(b)), c) == 1)
 
 
 def field_discriminant(d: int) -> int:
@@ -243,62 +255,113 @@ def gen_bernoulli(r: int, d: int) -> Fraction:
     return Fraction(total, den * f)
 
 
-# -- Hurwitz class numbers --------------------------------------------------
+# -- the batch engine: class numbers and Hurwitz numbers -------------------
 
-@lru_cache(maxsize=None)
-def hurwitz(n: int) -> Fraction:
-    """Hurwitz class number H(n).
 
-    H(0) = -1/12; H(n) = 0 for n = 1, 2 mod 4; otherwise the sum of the
-    primitive class counts h(-n/f^2) over f^2 | n with -n/f^2 = 0, 1 mod 4,
-    weighted by 1/3 at discriminant -3 and 1/2 at -4.
+def _count_forms(limit: int, modulus: int, first: int, stripes: int,
+                 stripe: int) -> np.ndarray:
+    """N(d), the number of reduced forms of discriminant -d, primitive or
+    not, for d <= limit in the class of first mod modulus, at index
+    (d - first) // modulus, from the a = stripe + 1 mod stripes only."""
+    counts = np.zeros(max(0, (limit - first) // modulus + 1), np.int32)
+    for a in range(stripe + 1, isqrt(limit // 3) + 1, stripes):
+        g = gcd(4 * a, modulus)
+        step, period = 4 * a // g, modulus // g  # strides of index and c
+        inverse = pow(step, -1, period)
+        for beta in range(a + 1):
+            bb = beta * beta
+            # c = c0 + k * period, k <= n: c >= a, 4ac - bb = first mod modulus
+            c0 = a + ((first + bb) // g * inverse - a) % period
+            n = ((limit + bb) // (4 * a) - c0) // period
+            if (first + bb) % g or n < 0:
+                continue
+            lo = (4 * a * c0 - bb - first) // modulus
+            # b = +beta from c >= a, and b = -beta (0 < beta < a) from c > a
+            twice = 0 < beta < a
+            counts[lo:lo + n * step + 1:step] += 1 + twice
+            if twice and c0 == a:
+                counts[lo] -= 1
+    return counts
+
+
+def class_number_table(limit: int, workers: int = 1, modulus: int = 1,
+                       residue: int = 0) -> np.ndarray:
+    """h(-d) for 1 <= d <= limit with d = residue mod modulus, at index
+    (d - d0) // modulus where d0 is the least positive member of the class
+    (index d - 1 by default).  Zero unless d is 0 or 3 mod 4."""
+    if modulus < 1 or 24 % modulus or gcd(residue, modulus) != 1:
+        raise ValueError("the Mobius step over f^2 stays in d = r mod s "
+                         "only for s | 24 and gcd(r, s) = 1")
+    first = (residue - 1) % modulus + 1
+    stripes = max(1, min(workers, isqrt(limit // 3)))
+    if stripes > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=stripes) as pool:
+            counts = sum(pool.map(
+                partial(_count_forms, limit, modulus, first, stripes),
+                range(stripes)))
+    else:
+        counts = _count_forms(limit, modulus, first, 1, 0)
+    # h(d) = sum over f^2 | d of mu(f) N(d / f^2), applied as one factor
+    # N(d) - N(d / p^2) per prime p; p^2 = 1 mod modulus for p prime to it,
+    # so d / p^2 lies in the class of d
+    for p in range(2, isqrt(limit // first) + 1):
+        if modulus % p == 0 or _factorize(p) != [(p, 1)]:
+            continue
+        n = (limit // (p * p) - first) // modulus + 1
+        start = (p * p - 1) * first // modulus
+        counts[start:start + p * p * (n - 1) + 1:p * p] -= counts[:n]
+    return counts
+
+
+def hurwitz_numbers(limit: int, modulus: int = 1,
+                    residue: int = 0) -> list[Fraction]:
+    """H(n) for 1 <= n <= limit with n = residue mod modulus (any
+    modulus >= 1), at index (n - n0) // modulus where n0 is the least
+    positive member of the class.
+
+    H(n) is the count N(n) of all reduced forms of discriminant -n, with
+    (a, 0, a) weighted 1/2 and (a, a, a) weighted 1/3; those forms exist
+    only at n = 4a^2 and n = 3a^2, one each.
     """
+    if modulus < 1:
+        raise ValueError("modulus must be >= 1")
+    if limit < 1:
+        return []
+    first = (residue - 1) % modulus + 1
+    out = [Fraction(c) for c in
+           _count_forms(limit, modulus, first, 1, 0).tolist()]
+    for scale, weight in ((4, Fraction(1, 2)), (3, Fraction(1, 3))):
+        for a in range(1, isqrt(limit // scale) + 1):
+            n = scale * a * a
+            if n % modulus == first % modulus:
+                out[(n - first) // modulus] -= 1 - weight
+    return out
+
+
+def hurwitz(n: int) -> Fraction:
+    """Hurwitz class number H(n): H(0) = -1/12, and for n >= 1 the
+    one-element class n mod n of hurwitz_numbers."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return Fraction(-1, 12)
-    if n % 4 in (1, 2):
-        return Fraction(0)
-    total = Fraction(0)
-    f = 1
-    while f * f <= n:
-        if n % (f * f) == 0:
-            disc = -(n // (f * f))
-            if disc % 4 in (0, 1):
-                h = form_class_number(disc)
-                if disc == -3:
-                    total += Fraction(h, 3)
-                elif disc == -4:
-                    total += Fraction(h, 2)
-                else:
-                    total += h
-        f += 1
-    return total
+    return hurwitz_numbers(n, n, 0)[0]
 
 
 def hurwitz_weighted_form_count(n: int) -> Fraction:
-    """Brute-force Hurwitz oracle: weighted count over ALL reduced forms
-    (primitive or not) of discriminant -n, with weight 1/2 for multiples of
-    x^2 + y^2 and 1/3 for multiples of x^2 + xy + y^2."""
-    if n <= 0 or n % 4 in (1, 2):
-        return hurwitz(max(n, 0)) if n >= 0 else Fraction(0)
-    disc = -n
+    """Hurwitz oracle, one n at a time: the reduced forms of discriminant
+    -n, primitive or not, with weight 1/2 for multiples of x^2 + y^2 and
+    1/3 for multiples of x^2 + xy + y^2; H(0) = -1/12."""
+    if n <= 0:
+        return Fraction(-1, 12) if n == 0 else Fraction(0)
     total = Fraction(0)
-    for a in range(1, isqrt(n // 3) + 1):
-        four_a = 4 * a
-        for b in range(-a + 1, a + 1):
-            num = b * b - disc
-            if num % four_a:
-                continue
-            c = num // four_a
-            if c < a:
-                continue
-            if c == a and b < 0:
-                continue
-            if b == 0 and a == c:
-                total += Fraction(1, 2)
-            elif a == b == c:
-                total += Fraction(1, 3)
-            else:
-                total += 1
+    for a, b, c in _reduced_forms(-n):
+        if b == 0 and a == c:
+            total += Fraction(1, 2)
+        elif a == b == c:
+            total += Fraction(1, 3)
+        else:
+            total += 1
     return total

@@ -68,9 +68,12 @@ def _prec_cap() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise UsageError("PLUSFORMS_PREC_CAP must be an integer, got %r" % raw)
+    if cap < 1:
+        raise UsageError("PLUSFORMS_PREC_CAP must be >= 1, got %d" % cap)
+    return cap
 
 
 def _capped(precision: int) -> int:

@@ -24,10 +24,12 @@ from .class_numbers import (
     _mobius_divisors,
     gen_bernoulli,
     hurwitz,
+    hurwitz_numbers,
     kronecker,
     squarefree_kernel,
 )
 from .level_one_forms import Form, FormMeta, bernoulli, sigma
+from .operators import dilate4, v4_precision
 from .qseries import QSeries, RATIONAL
 
 
@@ -142,8 +144,8 @@ def g_ab(a: int, b: int, precision: int) -> Form:
         raise ResidueConditionViolatedError(
             "-%d is a square mod %d; the progression is not modular" % (b, a)
         )
-    coeffs = [hurwitz(n) if n % a == b % a else Fraction(0)
-              for n in range(precision)]
+    coeffs = [Fraction(0)] * precision
+    coeffs[b % a::a] = hurwitz_numbers(precision - 1, a, b)
     level = a * a if a % 2 == 0 else 4 * a * a
     return Form(QSeries.rational(coeffs), FormMeta(3, level, character="unset"))
 
@@ -176,5 +178,6 @@ def plus_isomorphism(k: int, f: Form | None, h: Form | None,
         if form.series.precision < precision:
             raise ValueError("component precision %d < requested %d"
                              % (form.series.precision, precision))
-        total = total + form.series.truncate(precision).dilate(4) * partner
+        small = form.series.truncate(v4_precision(precision))
+        total = total + dilate4(small, precision) * partner
     return PlusForm(total, FormMeta(2 * k + 1, 4), k)

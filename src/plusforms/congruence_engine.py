@@ -165,9 +165,8 @@ def _first_difference(a: QSeries, b: QSeries, m: int, depth: int,
     return None, firsts[0]
 
 
-def _candidate_units(m: int, allow_unit: bool = True) -> tuple[int, ...]:
-    return tuple(u for u in range(1, m) if gcd(u, m) == 1) \
-        if allow_unit else (1,)
+def _candidate_units(m: int) -> tuple[int, ...]:
+    return tuple(u for u in range(1, m) if gcd(u, m) == 1)
 
 
 def direct_report(lhs_name: str, rhs_name: str, lhs: QSeries, rhs: QSeries,
@@ -189,8 +188,7 @@ def direct_report(lhs_name: str, rhs_name: str, lhs: QSeries, rhs: QSeries,
                             rhs_value=rhs.coeffs[first])
 
 
-def verify_congruence(lhs: NamedForm, rhs: NamedForm, m: int = 3,
-                      allow_unit: bool = True, *,
+def verify_congruence(lhs: NamedForm, rhs: NamedForm, m: int = 3, *,
                       units: tuple[int, ...] | None = None) -> CongruenceReport:
     """Check lhs = unit * rhs mod m up to the Sturm bound of the equalized
     integral-weight pair; units are tried in ascending order starting at 1
@@ -231,7 +229,7 @@ def verify_congruence(lhs: NamedForm, rhs: NamedForm, m: int = 3,
         hv_int, lt_int = _equalize(hv * hv, lt * lt, t, m)
 
     if units is None:
-        units = _candidate_units(m, allow_unit)
+        units = _candidate_units(m)
     elif flipped:
         # requested units speak lhs = u * rhs; internally we test the
         # heavier side against the lighter one

@@ -17,7 +17,7 @@ from math import lcm
 
 from . import _cache
 from .class_numbers import _factorize, kronecker
-from .level_one_forms import Form, FormMeta, eisenstein
+from .level_one_forms import Form, FormMeta, _sigma_table, eisenstein
 from .qseries import QSeries, RATIONAL
 
 
@@ -208,14 +208,9 @@ def e2_level_two(precision: int) -> QSeries:
     """2 E_2(2z) - E_2(z) = 1 + 24 sum((sigma_1(n) - 2 sigma_1(n/2)) q^n),
     the weight-2 bridge before V_4; every nonconstant coefficient is a
     multiple of 24."""
-    coeffs = [0] * precision
-    for d in range(1, precision):
-        for n in range(d, precision, d):
-            coeffs[n] += 24 * d
-    # subtract the doubled even part: sigma_1(n/2) terms
-    for d in range(1, (precision - 1) // 2 + 1):
-        for n in range(2 * d, precision, 2 * d):
-            coeffs[n] -= 48 * d
+    sigma1 = _sigma_table(1, precision)
+    coeffs = [24 * (s - (0 if n % 2 else 2 * sigma1[n // 2]))
+              for n, s in enumerate(sigma1)]
     coeffs[0] = 1
     return QSeries.rational(coeffs)
 

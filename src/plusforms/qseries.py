@@ -245,18 +245,6 @@ class QSeries:
                 return result
             base = base * base
 
-    def dilate(self, d: int) -> "QSeries":
-        """Substitute q -> q^d; the precision window stays the input's."""
-        if not isinstance(d, int) or d < 1:
-            raise ValueError("dilation factor must be a positive integer")
-        if d == 1:
-            return self
-        n = self.precision
-        out = [0] * n
-        for i in range((n - 1) // d + 1):
-            out[i * d] = self.coeffs[i]
-        return QSeries(self.ring, tuple(out))
-
     def reduce_mod(self, m: int) -> "QSeries":
         """Map each p/q to p * q^(-1) mod m; fails on non-m-integral input."""
         if not self.ring.is_rational:

@@ -74,7 +74,7 @@ def test_criterion_2_psi_congruence():
         precision = 1622
         lhs = ap_named(psi(12, precision), 2, 3)
         rhs = hurwitz_progression(precision)
-        report = verify_congruence(lhs, rhs, 3, True)
+        report = verify_congruence(lhs, rhs, 3)
         elapsed = time.monotonic() - started
         assert report.verified
         lam = report.unit
@@ -202,6 +202,6 @@ def test_criterion_10_negative_control():
         coeffs[target] += 1
         perturbed = NamedForm("phi:9-perturbed", QSeries.rational(coeffs),
                               base.meta, base.trace)
-        report = verify_congruence(base, perturbed, 3, False)
+        report = verify_congruence(base, perturbed, 3, units=(1,))
         assert report.status == "mismatch"
         assert report.first_n == target

@@ -7,6 +7,8 @@ from plusforms.census import (
     beta_census_crosscheck,
     census_rows,
     class_number_table,
+    fundamental_negative_mask,
+    fundamental_positive_mask,
     n2minus,
     nonvanishing_census,
     starstar_ok,
@@ -60,6 +62,20 @@ class TestN2Minus:
         x = 300
         assert n2minus(x, 0, 1) == sum(
             1 for j in range(1, x) if is_fundamental(-j))
+
+
+class TestFundamentalMasks:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3000))
+    def test_masks_match_is_fundamental(self, x):
+        negative = fundamental_negative_mask(x)
+        positive = fundamental_positive_mask(x)
+        assert len(negative) == len(positive) == x
+        assert not negative[0] and not positive[0]
+        assert negative[1:].tolist() == [is_fundamental(-j)
+                                         for j in range(1, x)]
+        assert positive[1:].tolist() == [is_fundamental(d)
+                                         for d in range(1, x)]
 
 
 class TestBatchClassNumbers:

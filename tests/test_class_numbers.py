@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import jacobi_symbol
 
 from plusforms.class_numbers import (
@@ -12,6 +14,7 @@ from plusforms.class_numbers import (
     form_class_number,
     gen_bernoulli,
     hurwitz,
+    hurwitz_numbers,
     hurwitz_weighted_form_count,
     is_fundamental,
     kronecker,
@@ -121,6 +124,14 @@ class TestHurwitz:
             if n % 4 in (1, 2):
                 assert hurwitz(n) == 0
 
-    def test_divisor_sum_equals_brute_weighted_count(self):
-        for n in range(300):
+    def test_equals_brute_weighted_count(self):
+        for n in range(3000):
             assert hurwitz(n) == hurwitz_weighted_form_count(n), n
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(-2, 1500), st.integers(1, 40), st.integers(-40, 40))
+    def test_batch_rows_match_oracle(self, limit, modulus, residue):
+        # any class, residue 0 included: no Mobius step restricts it
+        expected = [hurwitz_weighted_form_count(n) for n in range(1, limit + 1)
+                    if n % modulus == residue % modulus]
+        assert hurwitz_numbers(limit, modulus, residue) == expected

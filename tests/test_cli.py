@@ -72,6 +72,15 @@ class TestExpand:
         assert code == 64 and out == ""
         assert "--prec must be >= 1" in err
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_prec_cap_below_one_is_usage_error(self, capsys, monkeypatch,
+                                               cap):
+        monkeypatch.setenv("PLUSFORMS_PREC_CAP", cap)
+        code, out, err = run(capsys, "expand", "--form", "theta",
+                             "--prec", "5")
+        assert code == 64 and out == ""
+        assert "PLUSFORMS_PREC_CAP must be >= 1" in err
+
     def test_non_integral_reduction_exits_3(self, capsys):
         code, _, err = run(capsys, "expand", "--form", "cohen:2",
                            "--prec", "8", "--mod", "3")
@@ -114,6 +123,14 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "cong")
         assert code == 2
         assert json.loads(out)["status"] == "insufficient_precision"
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_prec_cap_below_one_is_usage_error(self, capsys, monkeypatch,
+                                               cap):
+        monkeypatch.setenv("PLUSFORMS_PREC_CAP", cap)
+        code, out, err = run(capsys, "verify", "cong")
+        assert code == 64 and out == ""
+        assert "PLUSFORMS_PREC_CAP must be >= 1" in err
 
     @pytest.mark.parametrize("target", ["cong", "psi:12", "remark3",
                                         "ut:3", "rt"])
@@ -183,6 +200,10 @@ PINNED_OUTPUTS = [
      "7ef7a16bffe6bfcd1db11d8b7d87a99a5b8f344f303b1ddeb140755d5412b61d"),
     (("expand", "--form", "phi:9", "--prec", "30", "--mod", "3", "--json"), 0,
      "2929a72b1756068bdb9853cc0f863597fbb5c5c603840a8e6bad054044b80dad"),
+    (("verify", "psi:24"), 0,
+     "570e0337f13adb8e60ed654bbb99c2716194eaa76d50c6e8d4962c2121d26fc1"),
+    (("expand", "--form", "g31", "--prec", "2000", "--json"), 0,
+     "d61e383279e206e4cc0b308ca6bd3459bb14a0f4c5c5e59b7d993e72322cd0cc"),
 ]
 
 

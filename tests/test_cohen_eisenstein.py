@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plusforms.cohen_eisenstein import (
     PlusConditionError,
@@ -13,7 +15,7 @@ from plusforms.cohen_eisenstein import (
     plus_isomorphism,
     theta,
 )
-from plusforms.class_numbers import hurwitz
+from plusforms.class_numbers import hurwitz, hurwitz_weighted_form_count
 from plusforms.level_one_forms import FormMeta, _eta_series, eisenstein, mk_basis
 from plusforms.operators import v_op
 from plusforms.qseries import QSeries
@@ -131,12 +133,27 @@ class TestSeriesShapes:
         assert theta(50).series.reduce_mod(3).coeffs[:5] == (1, 2, 0, 0, 2)
 
 
+# (a, b) with a <= 12 and -b a non-residue mod a, b reduced mod a
+VALID_PROGRESSIONS = [(a, b) for a in range(1, 13) for b in range(a)
+                      if all((x * x + b) % a for x in range(a))]
+
+
 class TestProgressionSeries:
     def test_g31_values_follow_hurwitz(self):
         form = g_ab(3, 1, 60)
         for n in range(60):
             expected = hurwitz(n) if n % 3 == 1 else 0
             assert form.series.coeffs[n] == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(VALID_PROGRESSIONS), st.integers(1, 800))
+    @example((9, 6), 800)
+    def test_rows_match_weighted_form_count(self, progression, precision):
+        a, b = progression
+        coeffs = g_ab(a, b, precision).series.coeffs
+        assert list(coeffs) == [
+            hurwitz_weighted_form_count(n) if n % a == b % a else 0
+            for n in range(precision)]
 
     def test_residue_violation(self):
         with pytest.raises(ResidueConditionViolatedError):

@@ -75,7 +75,7 @@ class TestEqualize:
 
 class TestVerify:
     def test_main_congruence(self):
-        report = verify_congruence(f_form(650), g31(650), 3, True)
+        report = verify_congruence(f_form(650), g31(650), 3)
         assert report.verified
         assert report.unit == 2
         assert report.bound_used == 541
@@ -83,23 +83,22 @@ class TestVerify:
         assert report.weight_equalizer == 8
 
     def test_unit_restriction(self):
-        report = verify_congruence(f_form(650), g31(650), 3, False)
+        report = verify_congruence(f_form(650), g31(650), 3, units=(1,))
         assert report.status == "mismatch"   # unit 1 alone cannot match
-        report2 = verify_congruence(f_form(650), g31(650), 3, True,
-                                    units=(2,))
+        report2 = verify_congruence(f_form(650), g31(650), 3, units=(2,))
         assert report2.verified and report2.unit == 2
 
     def test_psi_congruence_squared_strategy(self):
         p = 1622
         report = verify_congruence(ap_named(psi(12, p), 2, 3),
-                                   hurwitz_progression(p), 3, True)
+                                   hurwitz_progression(p), 3)
         assert report.verified
         assert report.unit == 1
         assert report.strategy == "squared"
         assert report.bound_used == 1351
 
     def test_insufficient_precision(self):
-        report = verify_congruence(f_form(80), g31(80), 3, True)
+        report = verify_congruence(f_form(80), g31(80), 3)
         assert report.status == "insufficient_precision"
         assert report.required == 541 and report.available == 80
 
@@ -109,7 +108,7 @@ class TestVerify:
         coeffs[4] += 1
         perturbed = NamedForm("phi:9-perturbed", QSeries.rational(coeffs),
                               base.meta, base.trace)
-        report = verify_congruence(base, perturbed, 3, False)
+        report = verify_congruence(base, perturbed, 3, units=(1,))
         assert report.status == "mismatch"
         assert report.first_n == 4
         assert report.bound_used == 6
@@ -120,12 +119,12 @@ class TestVerify:
 
         th = _named("theta", theta(40).series, 1, 4)
         fake = _named("delta-as-half", delta(40).series, 1, 4)
-        report = verify_congruence(th, fake, 3, True)
+        report = verify_congruence(th, fake, 3)
         assert report.status == "mismatch"
         assert report.first_n == 0
 
     def test_verified_survives_double_bound_recheck(self):
-        report = verify_congruence(f_form(650), g31(650), 3, True)
+        report = verify_congruence(f_form(650), g31(650), 3)
         assert report.verified
         depth = 2 * report.bound_used
         lhs = f_form(depth).series.reduce_mod(3)
@@ -133,7 +132,7 @@ class TestVerify:
         assert lhs.coeffs == rhs.coeffs
 
     def test_report_json_shape(self):
-        report = verify_congruence(f_form(650), g31(650), 3, True)
+        report = verify_congruence(f_form(650), g31(650), 3)
         payload = report.to_json_dict()
         assert payload["status"] == "verified"
         assert payload["bound"] == 541

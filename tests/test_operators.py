@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 
 from plusforms import _cache
 from plusforms.cohen_eisenstein import cohen_series, theta
-from plusforms.level_one_forms import eisenstein
+from plusforms.level_one_forms import eisenstein, sigma
 from plusforms.operators import (
     Character,
     NotOddPrimeError,
     ap_project,
+    e2_level_two,
     hecke_t,
     level_after_twist,
     level_after_u,
@@ -200,6 +201,15 @@ class TestRt:
         assert w.meta.twice_weight == 4 and w.meta.level_bound == 8
         assert w.series.reduce_mod(3).coeffs == (1,) + (0,) * 49
         assert all(c == 0 for n, c in enumerate(w.series.coeffs) if n % 4)
+
+    def test_e2_level_two_is_2e2_2z_minus_e2(self):
+        # E_2 = 1 - 24 sum(sigma_1(n) q^n), so 2 E_2(2z) - E_2(z) has
+        # 24 (sigma_1(n) - 2 sigma_1(n/2)) at q^n
+        coeffs = e2_level_two(60).coeffs
+        assert coeffs[0] == 1
+        for n in range(1, 60):
+            half = 2 * sigma(1, n // 2) if n % 2 == 0 else 0
+            assert coeffs[n] == 24 * (sigma(1, n) - half), n
 
 
 class TestUTForCohenSeries:
