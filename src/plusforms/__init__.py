@@ -34,12 +34,14 @@ from .class_numbers import (  # noqa: F401
 from .cohen_eisenstein import (  # noqa: F401
     PlusConditionError,
     PlusForm,
+    PlusSpaceDimensionError,
     ResidueConditionViolatedError,
     WeightMismatchError,
     cohen_h,
     cohen_series,
     g_ab,
     plus_isomorphism,
+    plus_space_basis,
     theta,
 )
 from .operators import (  # noqa: F401

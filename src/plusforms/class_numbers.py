@@ -96,7 +96,7 @@ def _factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _mobius_divisors(n: int) -> tuple[tuple[int, int], ...]:
     """(e, mu(e)) over the squarefree divisors e of n."""
     out = [(1, 1)]
@@ -161,7 +161,7 @@ def _reduced_forms(disc: int):
                     yield a, b, c
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def form_class_number(disc: int) -> int:
     """Number of primitive reduced forms of discriminant disc < 0, one
     discriminant at a time: the oracle for class_number_table.
@@ -341,12 +341,15 @@ def hurwitz_numbers(limit: int, modulus: int = 1,
 
 
 def hurwitz(n: int) -> Fraction:
-    """Hurwitz class number H(n): H(0) = -1/12, and for n >= 1 the
-    one-element class n mod n of hurwitz_numbers."""
+    """Hurwitz class number H(n): H(0) = -1/12, 0 for n = 1, 2 mod 4 (no
+    discriminant -n exists), and otherwise the one-element class n mod n
+    of hurwitz_numbers."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return Fraction(-1, 12)
+    if n % 4 in (1, 2):
+        return Fraction(0)
     return hurwitz_numbers(n, n, 0)[0]
 
 

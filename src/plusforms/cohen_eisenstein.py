@@ -1,15 +1,28 @@
-"""Cohen-Eisenstein series, theta, and the Kohnen plus-space isomorphism.
+"""Cohen-Eisenstein series, theta, the Kohnen plus space and its
+isomorphism with pairs of level-one forms.
 
-The half-integral weight Eisenstein series H_{r+1/2} = sum(H(r, N) q^N) is
-assembled from the exact values
+M_{k+1/2}(Gamma_0(4)) is spanned by the integer rows theta^a F_2^b with
+a + 4b = 2k + 1, where F_2 = sum(sigma_1(n) q^n) over odd n.  The plus
+space M+_{k+1/2} is cut out of it by the linear conditions that the q^n
+coefficient vanishes whenever (-1)^k n = 2, 3 mod 4.  plus_space_basis
+solves those conditions once per weight as a small exact system on the
+first few coefficients, and checks that the kernel has Kohnen's dimension
+dim M+_{k+1/2} = dim M_{2k} = 1 + dim S_{2k} (k >= 2).  Every plus form
+lies in the kernel of any finite set of plus conditions, so a kernel of
+that dimension is the plus space itself: the solve proves its result.  The
+basis is evaluated over Z with one common denominator at full precision.
+
+A plus form is fixed by its coefficients at the basis pivots, so the
+Eisenstein series H_{r+1/2} = sum(H(r, N) q^N) needs only the single values
 
     H(r, 0) = zeta(1 - 2r),
     H(r, N) = L(1-r, chi_D) * sum(mu(d) chi_D(d) d^(r-1) sigma_{2r-1}(f/d))
               over d | f, where (-1)^r N = D f^2 with D fundamental,
 
-and L(1-r, chi_D) = -B_{r,chi_D}/r.  This finite algebraic form is the
-functional-equation twin of the archimedean L(r, .) expression and is the
-only route that stays in exact rationals.
+with L(1-r, chi_D) = -B_{r,chi_D}/r, at the pivots.  For r = 2, 3, 4, 5, 7
+the cusp space is zero, the only pivot is N = 0, and no L-value is computed.
+cohen_h evaluates the formula at any single N; it is also the oracle the
+tests hold the series against.
 """
 
 from __future__ import annotations
@@ -17,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from . import _cache
 from .class_numbers import (
@@ -28,9 +41,16 @@ from .class_numbers import (
     kronecker,
     squarefree_kernel,
 )
-from .level_one_forms import Form, FormMeta, bernoulli, sigma
+from .level_one_forms import (
+    Form,
+    FormMeta,
+    _sigma_table,
+    bernoulli,
+    dim_s,
+    sigma,
+)
 from .operators import dilate4, v4_precision
-from .qseries import QSeries, RATIONAL
+from .qseries import QSeries, RATIONAL, _cleared, _kronecker
 
 
 class ResidueConditionViolatedError(ValueError):
@@ -43,6 +63,10 @@ class WeightMismatchError(ValueError):
 
 class PlusConditionError(ValueError):
     """A coefficient survives on a forbidden residue class mod 4."""
+
+
+class PlusSpaceDimensionError(ArithmeticError):
+    """The plus conditions left a space of the wrong dimension."""
 
 
 def forbidden_residues(k: int) -> tuple[int, int]:
@@ -81,7 +105,7 @@ def _fundamental_decomposition(n0: int) -> tuple[int, int]:
     return d, f
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _l_value(r: int, d: int) -> Fraction:
     # L(1 - r, chi_d) = -B_{r, chi_d} / r
     return -gen_bernoulli(r, d) / r
@@ -111,27 +135,161 @@ def cohen_h(r: int, n: int) -> Fraction:
     return _l_value(r, d) * acc
 
 
-def _cohen_coeffs(r: int, precision: int) -> QSeries:
-    return QSeries(RATIONAL, tuple(cohen_h(r, n) for n in range(precision)))
+def _theta_row(precision: int) -> list[int]:
+    row = [0] * precision
+    row[0] = 1
+    n = 1
+    while n * n < precision:
+        row[n * n] = 2
+        n += 1
+    return row
+
+
+def _graded_rows(k: int, precision: int) -> list[list[int]]:
+    """theta^(eps + 4j) F_2^b for b = 0..top and j = top - b, where
+    2k + 1 = 4 top + eps, as integer rows of length `precision`; row b
+    starts at q^b, so the rows are independent."""
+    top, eps = divmod(2 * k + 1, 4)
+    th = _theta_row(precision)
+    th2 = _kronecker(th, th)
+    th4 = _kronecker(th2, th2)
+    leads = [th if eps == 1 else _kronecker(th2, th)]
+    for _ in range(top):
+        leads.append(_kronecker(leads[-1], th4))
+    f2 = [s if n % 2 else 0 for n, s in enumerate(_sigma_table(1, precision))]
+    powers = [f2]
+    for _ in range(top - 1):
+        powers.append(_kronecker(powers[-1], f2))
+    return [leads[top]] + [_kronecker(leads[top - b], powers[b - 1])
+                           for b in range(1, top + 1)]
+
+
+def _echelon(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q: the nonzero rows, each with leading
+    coefficient 1, and their pivot columns.  The elimination runs on
+    integer rows with each row's content divided out, so its inner loop
+    makes no Fraction."""
+    work = []
+    for row in rows:
+        den = lcm(*(v.denominator for v in row))
+        work.append([int(v * den) for v in row])
+    pivots: list[int] = []
+    for col in range(len(work[0]) if work else 0):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        lead = work[rank]
+        for i, row in enumerate(work):
+            if i != rank and row[col]:
+                p, f = lead[col], row[col]
+                row = [p * a - f * b for a, b in zip(row, lead)]
+                content = gcd(*row)
+                work[i] = [a // content for a in row] if content > 1 else row
+        pivots.append(col)
+    return [[Fraction(v, row[col]) for v in row]
+            for row, col in zip(work, pivots)], pivots
+
+
+def _combination(rows: list[list[int]], coord,
+                 length: int) -> tuple[Fraction, ...]:
+    """The first `length` entries of sum(coord[b] * rows[b]) for integer
+    rows and rational coord, formed over Z with one common denominator."""
+    den = lcm(*(c.denominator for c in coord))
+    terms = [(c, row) for c, row in zip(_cleared(coord, den), rows) if c]
+    return tuple(Fraction(sum(c * row[i] for c, row in terms), den)
+                 for i in range(length))
+
+
+def _plus_space(k: int, precision: int) -> tuple[
+        list[list[int]], list[int], list[tuple[Fraction, ...]]]:
+    """The graded rows, at least `precision` long, the echelon pivots n_i
+    of M+_{k+1/2}, and the coordinates of each basis form in the rows."""
+    if k < 2:
+        raise ValueError("the plus-space basis needs k >= 2")
+    size = (2 * k + 1) // 4 + 1
+    # the plus conditions are read from the first 4 * size coefficients:
+    # twice as many conditions as rows, and more than twice the coefficients
+    # any weight up to 121/2 needs; the dimension check makes the solve a
+    # proof either way
+    length = 4 * size
+    rows = _graded_rows(k, max(precision, length))
+    # row b is q^b + O(q^(b+1)), so integer back-substitution gives forms
+    # g_b = q^b + O(q^size); each carries its coordinates in the rows
+    # behind its first `length` coefficients
+    head = [row[:length] + [int(b == c) for c in range(size)]
+            for b, row in enumerate(rows)]
+    for b in range(size - 2, -1, -1):
+        for c in range(b + 1, size):
+            f = head[b][c]
+            if f:
+                head[b] = [u - f * v for u, v in zip(head[b], head[c])]
+    # sum(x_b g_b) is a plus form below q^length iff x_b = 0 at forbidden
+    # b < size and the forbidden coefficients from q^size on vanish
+    bad = forbidden_residues(k)
+    unknowns = [b for b in range(size) if b % 4 not in bad]
+    conditions, bound = _echelon(
+        [[head[b][n] for b in unknowns]
+         for n in range(size, length) if n % 4 in bad])
+    free = [j for j in range(len(unknowns)) if j not in bound]
+    if len(free) != 1 + dim_s(2 * k):
+        raise PlusSpaceDimensionError(
+            "the plus conditions on %d coefficients leave dimension %d in "
+            "weight %d/2, not 1 + dim S_%d = %d"
+            % (length, len(free), 2 * k + 1, 2 * k, 1 + dim_s(2 * k)))
+    kernel = []
+    for f in free:
+        x = [Fraction(int(j == f)) for j in range(len(unknowns))]
+        for condition, j in zip(conditions, bound):
+            x[j] = -condition[f]
+        kernel.append(x)
+    # below q^size the form sum(x_b g_b) has coefficients x_b, so the
+    # echelon form of the kernel is the echelon basis of the plus space
+    echelon, pivots = _echelon(kernel)
+    tails = [head[b][length:] for b in unknowns]
+    return (rows, [unknowns[j] for j in pivots],
+            [_combination(tails, row, size) for row in echelon])
+
+
+def plus_space_basis(k: int, precision: int) -> list[tuple[int, PlusForm]]:
+    """The echelon basis of M+_{k+1/2}(Gamma_0(4)), k >= 2, as pairs
+    (n_i, f_i) with the q^(n_j) coefficient of f_i equal to 1 if i = j
+    and 0 otherwise; n_0 = 0 and f_1, f_2, ... span the cusp space S+.
+
+    Raises PlusSpaceDimensionError if the plus conditions leave a space
+    whose dimension is not 1 + dim S_{2k}."""
+    rows, pivots, coords = _plus_space(k, precision)
+    meta = FormMeta(2 * k + 1, 4)
+    return [(n, PlusForm(QSeries._trusted(
+                RATIONAL, _combination(rows, coord, precision)), meta, k))
+            for n, coord in zip(pivots, coords)]
+
+
+def _cohen_series(r: int, precision: int) -> QSeries:
+    rows, pivots, coords = _plus_space(r, precision)
+    values = [cohen_h(r, n) for n in pivots]
+    coord = [sum(v * c for v, c in zip(values, column))
+             for column in zip(*coords)]
+    return QSeries._trusted(RATIONAL, _combination(rows, coord, precision))
 
 
 def cohen_series(r: int, precision: int) -> PlusForm:
-    """H_{r+1/2} as a plus form of weight r + 1/2 on level 4, r >= 2."""
+    """H_{r+1/2} as a plus form of weight r + 1/2 on level 4, r >= 2: the
+    sum of cohen_h(r, n_i) f_i over the plus-space basis (n_i, f_i),
+    formed over Z with one common denominator.  Only the values at the
+    pivots are computed one by one; for r = 2, 3, 4, 5, 7 that is the
+    constant term zeta(1 - 2r) alone."""
     if r < 2:
         raise ValueError("cohen_series needs r >= 2 (r = 1 is the Hurwitz row)")
-    series = _cache.series_at(("cohen", r), precision, lambda p: _cohen_coeffs(r, p))
+    series = _cache.series_at(("cohen", r), precision,
+                              lambda p: _cohen_series(r, p))
     return PlusForm(series, FormMeta(2 * r + 1, 4), r)
 
 
 def theta(precision: int) -> Form:
     """1 + 2 sum(q^(n^2)), weight 1/2 on level 4."""
-    coeffs = [0] * precision
-    coeffs[0] = 1
-    n = 1
-    while n * n < precision:
-        coeffs[n * n] = 2
-        n += 1
-    return Form(QSeries.rational(coeffs), FormMeta(1, 4))
+    return Form(QSeries.rational(_theta_row(precision)), FormMeta(1, 4))
 
 
 def g_ab(a: int, b: int, precision: int) -> Form:

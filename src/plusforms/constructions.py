@@ -22,7 +22,7 @@ from .cohen_eisenstein import (
     cohen_series,
     forbidden_residues,
     g_ab,
-    plus_isomorphism,
+    plus_space_basis,
     theta,
 )
 from .level_one_forms import FormMeta, delta, eisenstein
@@ -209,17 +209,14 @@ def hurwitz_progression(precision: int) -> NamedForm:
 
 def cusp_line_13_half(precision: int) -> NamedForm:
     """Primitive integral generator of the one-dimensional cusp line in the
-    weight 13/2 plus space, built from the zero-constant-term line of
-    M_6 + M_4 through the plus-space isomorphism.
-
-    The raw combination E_6(4z) theta - 120 E_4(4z) H_{5/2} carries a
-    content; dividing it out gives the generator with coprime integer
-    coefficients."""
-    image = plus_isomorphism(6, eisenstein(6, precision),
-                             eisenstein(4, precision).scaled(-120), precision)
-    series = image.series.primitive()
+    weight 13/2 plus space: the basis element of M+_{13/2} with zero
+    constant term, scaled to coprime integer coefficients.  Its q^1
+    coefficient is +1."""
+    (series,) = [form.series.primitive()
+                 for n, form in plus_space_basis(6, precision) if n]
     return NamedForm("S+(13/2) primitive generator", series, FormMeta(13, 4),
-                     OperatorTrace(("plus_iso(6, E6, -120*E4)", "primitive"), 4))
+                     OperatorTrace(("plus_space_basis(6) cusp element",
+                                    "primitive"), 4))
 
 
 def theta_off_multiples_of_three(precision: int) -> NamedForm:

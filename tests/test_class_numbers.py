@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import jacobi_symbol
 
+from plusforms import class_numbers, cohen_eisenstein
 from plusforms.class_numbers import (
     Discriminant,
     NonNegativeInputError,
@@ -128,6 +129,16 @@ class TestHurwitz:
         for n in range(3000):
             assert hurwitz(n) == hurwitz_weighted_form_count(n), n
 
+    def test_no_form_count_where_no_discriminant_exists(self, monkeypatch):
+        # -n is no discriminant for n = 1, 2 mod 4: H(n) = 0 without a walk
+        def refuse(*args):
+            raise AssertionError("_count_forms called for %r" % (args,))
+
+        monkeypatch.setattr(class_numbers, "_count_forms", refuse)
+        for n in range(3000):
+            if n % 4 in (1, 2):
+                assert hurwitz(n) == hurwitz_weighted_form_count(n) == 0, n
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(-2, 1500), st.integers(1, 40), st.integers(-40, 40))
     def test_batch_rows_match_oracle(self, limit, modulus, residue):
@@ -135,3 +146,10 @@ class TestHurwitz:
         expected = [hurwitz_weighted_form_count(n) for n in range(1, limit + 1)
                     if n % modulus == residue % modulus]
         assert hurwitz_numbers(limit, modulus, residue) == expected
+
+
+@pytest.mark.parametrize("cached", [class_numbers._mobius_divisors,
+                                    class_numbers.form_class_number,
+                                    cohen_eisenstein._l_value])
+def test_caches_are_bounded(cached):
+    assert cached.cache_info().maxsize is not None

@@ -204,6 +204,18 @@ PINNED_OUTPUTS = [
      "570e0337f13adb8e60ed654bbb99c2716194eaa76d50c6e8d4962c2121d26fc1"),
     (("expand", "--form", "g31", "--prec", "2000", "--json"), 0,
      "d61e383279e206e4cc0b308ca6bd3459bb14a0f4c5c5e59b7d993e72322cd0cc"),
+    (("expand", "--form", "cohen:2", "--prec", "300", "--json"), 0,
+     "0c8d8e2fb4c61d4555c419aa5dfaa420f036968ccd1f9ef6955ed8d93d9158da"),
+    (("expand", "--form", "cohen:3", "--prec", "300", "--json"), 0,
+     "6162447270e90318e7356b53cb2de63223237e814a48568692eb00ba36e8c123"),
+    (("expand", "--form", "cohen:5", "--prec", "300", "--json"), 0,
+     "10d9325123b0686547b1773738d4bfde8f93a308e6078008280ddecc67d177e3"),
+    (("expand", "--form", "cohen:6", "--prec", "300", "--json"), 0,
+     "c72d99b1376b1feae31b04312bc77ef849f77fb7f91407dd5b07e6a327ecd8c9"),
+    (("expand", "--form", "cohen:12", "--prec", "300", "--json"), 0,
+     "22078bbd8dd5bfca1dad6d287c75e2d5f4dbdcc7f696f4e1f0373831ed5a4b9b"),
+    (("expand", "--form", "cohen:13", "--prec", "300", "--json"), 0,
+     "03d5c2b2acdc2dbda682f7513dbba7135070f5eae95dc1e56b0c4d0b81f2452f"),
 ]
 
 

@@ -4,19 +4,28 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from plusforms import _cache, cohen_eisenstein
 from plusforms.cohen_eisenstein import (
     PlusConditionError,
     PlusForm,
+    PlusSpaceDimensionError,
     ResidueConditionViolatedError,
     WeightMismatchError,
     cohen_h,
     cohen_series,
     g_ab,
     plus_isomorphism,
+    plus_space_basis,
     theta,
 )
 from plusforms.class_numbers import hurwitz, hurwitz_weighted_form_count
-from plusforms.level_one_forms import FormMeta, _eta_series, eisenstein, mk_basis
+from plusforms.level_one_forms import (
+    FormMeta,
+    _eta_series,
+    dim_s,
+    eisenstein,
+    mk_basis,
+)
 from plusforms.operators import v_op
 from plusforms.qseries import QSeries
 
@@ -44,6 +53,67 @@ class TestCohenValues:
     def test_row_one_delegates_to_hurwitz(self):
         for n in range(500):
             assert cohen_h(1, n) == hurwitz(n)
+
+
+class TestPlusSpaceBasis:
+    @pytest.mark.parametrize("k", range(2, 21))
+    def test_echelon_plus_basis_of_kohnen_dimension(self, k):
+        p = 60
+        basis = plus_space_basis(k, p)
+        assert len(basis) == 1 + dim_s(2 * k)
+        pivots = [n for n, _ in basis]
+        assert pivots[0] == 0 and pivots == sorted(pivots)
+        for n, form in basis:
+            assert form.k == k and form.series.precision == p
+            assert [form.series.coeffs[m] for m in pivots] == \
+                [int(m == n) for m in pivots]
+
+    @pytest.mark.parametrize("k", [6, 9, 12, 13, 16])
+    def test_isomorphism_images_are_pivot_combinations(self, k):
+        # a plus form is fixed by its coefficients at the pivots: every
+        # image of plus_isomorphism is sum(image(n_i) f_i)
+        p = 80
+        basis = plus_space_basis(k, p)
+        heavy, light = (k, k - 2) if k % 2 == 0 else (k - 3, k - 5)
+        images = [plus_isomorphism(k, f, None, p) for f in mk_basis(heavy, p)]
+        images += [plus_isomorphism(k, None, h, p) for h in mk_basis(light, p)]
+        for image in images:
+            combo = QSeries.zero(image.series.ring, p)
+            for n, form in basis:
+                combo = combo + form.series.scale(image.series.coeffs[n])
+            assert combo.coeffs == image.series.coeffs
+
+    @pytest.mark.parametrize("k,wrong", [(3, 1), (12, 0), (12, 3)])
+    def test_wrong_dimension_raises(self, monkeypatch, k, wrong):
+        monkeypatch.setattr(cohen_eisenstein, "dim_s", lambda weight: wrong)
+        with pytest.raises(PlusSpaceDimensionError):
+            plus_space_basis(k, 20)
+
+    def test_needs_k_at_least_two(self):
+        with pytest.raises(ValueError):
+            plus_space_basis(1, 10)
+
+
+class TestSeriesAgainstValueOracle:
+    """cohen_series against the row of single values cohen_h(r, n).  The
+    weights r = 2..16 cover dim S+ = 0, 1 and 2 (r = 12, 16), and the
+    smallest precisions lie below the number of coefficients the series
+    needs internally."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 16), st.integers(1, 400))
+    @example(3, 1)
+    @example(3, 2)
+    @example(3, 3)
+    @example(3, 4)
+    @example(12, 1)
+    @example(12, 2)
+    @example(12, 3)
+    @example(12, 4)
+    def test_series_equals_value_row(self, r, precision):
+        _cache.clear()
+        series = cohen_series(r, precision).series
+        assert list(series.coeffs) == [cohen_h(r, n) for n in range(precision)]
 
 
 def solve_in_span(product, basis, check_to):

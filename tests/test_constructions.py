@@ -5,7 +5,12 @@ import pytest
 from conftest import residue
 from plusforms import _cache
 from plusforms.class_numbers import hurwitz
-from plusforms.cohen_eisenstein import cohen_h, cohen_series, theta
+from plusforms.cohen_eisenstein import (
+    cohen_h,
+    cohen_series,
+    plus_isomorphism,
+    theta,
+)
 from plusforms.constructions import (
     CHI3,
     CHI3_SQUARED,
@@ -198,6 +203,15 @@ class TestAuxiliaryForms:
     def test_cusp_line_is_the_classical_eigenform(self):
         series = cusp_line_13_half(12).series
         assert series.coeffs[:10] == (0, 1, 0, 0, -56, 120, 0, 0, -240, 9)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 40, 301])
+    def test_cusp_line_equals_the_isomorphism_image(self, p):
+        # the zero-constant-term line of M_6 + M_4 through the plus-space
+        # isomorphism: E_6(4z) theta - 120 E_4(4z) H_{5/2}, made primitive
+        image = plus_isomorphism(6, eisenstein(6, p),
+                                 eisenstein(4, p).scaled(-120), p)
+        assert cusp_line_13_half(p).series.coeffs == \
+            image.series.primitive().coeffs
 
     def test_remark3_reduction(self):
         p = 120
