@@ -3,6 +3,10 @@
 The census takes fundamental discriminants from numpy sieves and its class
 numbers h(-D) from one class_numbers.class_number_table per run, over the
 class d = 1 mod 3 only (every field discriminant it needs lies there).
+
+numpy is imported inside the functions that build arrays (the sieves and
+the population), not at module import: the module loads with plusforms,
+and a process that never runs a census should not pay for numpy.
 """
 
 from __future__ import annotations
@@ -10,10 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .class_numbers import _factorize, class_number_table
+
+if TYPE_CHECKING:
+    import numpy as np
 
 NINE_OVER_8PI2 = "0.11398"
 NINE_OVER_16PI2 = "0.05699"
@@ -48,6 +54,8 @@ def starstar_ok(m: int, n: int) -> bool:
 
 
 def _squarefree_flags(limit: int) -> np.ndarray:
+    import numpy as np
+
     flags = np.ones(limit + 1, dtype=bool)
     flags[0] = False
     for p in range(2, isqrt(limit) + 1):
@@ -58,6 +66,8 @@ def _squarefree_flags(limit: int) -> np.ndarray:
 def _fundamental_mask(x: int, sign: int) -> np.ndarray:
     # mask[j] for D = sign * j: D = 1 mod 4 squarefree, or D = 4m with
     # m = 2, 3 mod 4 squarefree; strided slices, no index temporaries
+    import numpy as np
+
     sf = _squarefree_flags(x)
     mask = np.zeros(x, dtype=bool)
     odd = sign % 4
@@ -88,7 +98,7 @@ def n2minus(x: int, m: int, n: int) -> int:
         warnings.warn("progression (%d mod %d) fails the compatibility "
                       "condition; the count is still well-defined" % (m, n))
     # D = -j = m mod N means j = -m mod N; mask[0] is False
-    return int(np.count_nonzero(fundamental_negative_mask(x)[-m % n::n]))
+    return int(fundamental_negative_mask(x)[-m % n::n].sum())
 
 
 # -- the census ---------------------------------------------------------------
@@ -123,6 +133,8 @@ class CensusReport:
 def _census_population(x: int):
     """Fundamental D with 0 < D < x, D = 1 mod 3, plus the discriminant of
     Q(sqrt(-D)) for each."""
+    import numpy as np
+
     ds = 3 * np.flatnonzero(fundamental_positive_mask(x)[1::3]) + 1
     quarters = ds // 4
     field = np.where(ds % 4 == 1, -4 * ds,
@@ -141,7 +153,7 @@ def _census_classes(x: int, workers: int):
 
 
 def _tally(x: int, h: np.ndarray) -> CensusReport:
-    nonvanishing = int(np.count_nonzero(h % 3 != 0))
+    nonvanishing = int((h % 3 != 0).sum())
     n2m = n2minus(x, 1, 3)
     return CensusReport(
         x=x,

@@ -16,6 +16,10 @@ forms of one discriminant at a time; they are the oracles the tests hold
 the engine against, and class_number_of_field reads form_class_number.
 Generalized Bernoulli numbers give an independent route to h through
 h(D) = -B_{1,chi_D}.
+
+numpy is imported inside _count_forms, where the count array is built, and
+nowhere else, so only class_number_table, hurwitz_numbers and hurwitz load
+it; every other routine here works on Python ints.
 """
 
 from __future__ import annotations
@@ -24,10 +28,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, gcd, isqrt, lcm
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .level_one_forms import bernoulli
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class NonNegativeInputError(ValueError):
@@ -191,34 +197,21 @@ def class_number_of_field(d: int) -> int:
 
 # -- generalized Bernoulli numbers ----------------------------------------
 
-_spf: list[int] = []
-
-
-def _spf_table(limit: int) -> list[int]:
-    # smallest-prime-factor sieve, grown on demand and kept around
-    global _spf
-    if len(_spf) <= limit:
-        size = max(limit + 1, 2 * len(_spf), 1024)
-        table = list(range(size))
-        for p in range(2, isqrt(size - 1) + 1):
-            if table[p] == p:
-                for m in range(p * p, size, p):
-                    if table[m] == m:
-                        table[m] = p
-        _spf = table
-    return _spf
-
-
 def _chi_row(d: int, f: int) -> list[int]:
-    # chi_d(a) for a = 0..f-1 via complete multiplicativity
-    spf = _spf_table(f)
-    row = [0] * f
+    # chi_d(a) for a = 0..f-1 via complete multiplicativity, over one prime
+    # factor per a sieved on each call: cheaper than gen_bernoulli's O(f r)
+    # Horner loop over the row, and no table outlives the call
     if f == 1:
         return [1]
-    row[1 % f] = 1
+    factor = list(range(f))
+    for p in range(2, isqrt(f - 1) + 1):
+        if factor[p] == p:
+            factor[p * p::p] = [p] * ((f - 1 - p * p) // p + 1)
+    row = [0] * f
+    row[1] = 1
     chi_p = {}
     for a in range(2, f):
-        p = spf[a]
+        p = factor[a]
         v = chi_p.get(p)
         if v is None:
             v = kronecker(d, p)
@@ -263,6 +256,8 @@ def _count_forms(limit: int, modulus: int, first: int, stripes: int,
     """N(d), the number of reduced forms of discriminant -d, primitive or
     not, for d <= limit in the class of first mod modulus, at index
     (d - first) // modulus, from the a = stripe + 1 mod stripes only."""
+    import numpy as np
+
     counts = np.zeros(max(0, (limit - first) // modulus + 1), np.int32)
     for a in range(stripe + 1, isqrt(limit // 3) + 1, stripes):
         g = gcd(4 * a, modulus)

@@ -112,6 +112,28 @@ class TestGenBernoulli:
         with pytest.raises(ValueError):
             gen_bernoulli(1, -9)
 
+    def test_character_row_matches_kronecker(self):
+        for d in list(range(-1200, 0)) + list(range(1, 1200)):
+            if is_fundamental(d):
+                f = abs(d)
+                assert class_numbers._chi_row(d, f) == [
+                    kronecker(d, a) for a in range(f)], d
+
+
+def _module_tables():
+    return {name: len(value) for name, value in vars(class_numbers).items()
+            if isinstance(value, (list, dict, set, tuple))}
+
+
+def test_no_module_table_grows_across_calls():
+    gen_bernoulli(1, -23)
+    before = _module_tables()
+    for d in (-1019, -4003, -16007, 12001):
+        assert is_fundamental(d)
+        gen_bernoulli(2 if d > 0 else 1, d)
+    cohen_eisenstein.cohen_h(3, 16007)
+    assert _module_tables() == before
+
 
 class TestHurwitz:
     @pytest.mark.parametrize("n,value", [
