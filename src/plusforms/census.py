@@ -1,8 +1,11 @@
 """Discriminant sieves and density censuses.
 
 The census takes fundamental discriminants from numpy sieves and its class
-numbers h(-D) from one class_numbers.class_number_table per run, over the
-class d = 1 mod 3 only (every field discriminant it needs lies there).
+numbers h(-D) from class_numbers.class_number_table, one table per class
+of FIELD_CLASSES.  Each field discriminant -4D, -D or -D/4 of a census D
+(D = 1 mod 3) lies in exactly one of them: 4D = 4 mod 48 up to 4x for
+D = 1 mod 4, D = 40 mod 48 up to x for D = 8 mod 16, and D/4 = 7 mod 12
+up to x/4 for D = 12 mod 16.  The tables hold about x/8 entries together.
 
 numpy is imported inside the functions that build arrays (the sieves and
 the population), not at module import: the module loads with plusforms,
@@ -20,6 +23,9 @@ from .class_numbers import _factorize, class_number_table
 
 if TYPE_CHECKING:
     import numpy as np
+
+# (modulus, residue) of the classes of -field the census reads h from
+FIELD_CLASSES = ((48, 4), (48, 40), (12, 7))
 
 NINE_OVER_8PI2 = "0.11398"
 NINE_OVER_16PI2 = "0.05699"
@@ -144,12 +150,19 @@ def _census_population(x: int):
 
 def _census_classes(x: int, workers: int):
     """The census population, its field discriminants and h(-D) for each
-    D, from one class-number table."""
+    D, from one class-number table per class of FIELD_CLASSES."""
+    import numpy as np
+
     ds, field = _census_population(x)
-    # -field is 4D, D or D/4 with D = 1 mod 3, so it is 1 mod 3 as well
-    table = class_number_table(int((-field).max()) if len(ds) else 0,
-                               workers=workers, modulus=3, residue=1)
-    return ds, field, table[(-field - 1) // 3]
+    h = np.zeros(len(ds), np.int32)  # the dtype of the tables
+    for modulus, residue in FIELD_CLASSES:
+        picked = -field % modulus == residue
+        d = -field[picked]
+        table = class_number_table(int(d.max()) if len(d) else 0,
+                                   workers=workers, modulus=modulus,
+                                   residue=residue)
+        h[picked] = table[(d - residue) // modulus]
+    return ds, field, h
 
 
 def _tally(x: int, h: np.ndarray) -> CensusReport:
@@ -167,8 +180,10 @@ def _tally(x: int, h: np.ndarray) -> CensusReport:
 
 
 def _rows(ds, field, h) -> list[tuple[int, int, int, int]]:
-    return [(int(d), int(f), int(hh), int(hh % 3))
-            for d, f, hh in zip(ds, field, h)]
+    # iterating a memoryview yields Python ints without a list per column,
+    # which would raise the census's peak memory
+    return list(zip(memoryview(ds), memoryview(field), memoryview(h),
+                    memoryview(h % 3)))
 
 
 def nonvanishing_census(x: int, workers: int = 1) -> CensusReport:
@@ -187,7 +202,8 @@ def census_rows(x: int, workers: int = 1):
 
 
 def census_with_rows(x: int, workers: int = 1):
-    """nonvanishing_census and census_rows from one class-number table."""
+    """nonvanishing_census and census_rows from one set of class-number
+    tables."""
     if x < 12:
         raise ValueError("x must be at least 12")
     ds, field, h = _census_classes(x, workers)

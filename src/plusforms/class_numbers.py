@@ -1,12 +1,14 @@
 """Kronecker symbols, fundamental discriminants, and class numbers.
 
-One batch engine, _count_forms, walks every (a, beta) pair once and counts
-every reduced form of discriminant -d, primitive or not, along one class
-d = r mod s with strided numpy slice additions.  Two tables read it:
-class_number_table takes primitive class numbers h(-d) by a Mobius
-inversion over square divisors f^2 | d, which stays in the class only for
-s | 24 and gcd(r, s) = 1; hurwitz_numbers takes the Hurwitz numbers H(n)
-directly, weighting (a, 0, a) by 1/2 and (a, a, a) by 1/3, for any s.
+One batch engine, _count_forms, walks once over every pair (a, beta) that
+has a reduced form (a, +-beta, c) in the class, that is every root of
+beta^2 = -r mod gcd(4a, s), and counts every reduced form of discriminant
+-d, primitive or not, along one class d = r mod s with strided numpy slice
+additions.  Two tables read it: class_number_table takes primitive class
+numbers h(-d) by a Mobius inversion over square divisors f^2 | d, which is
+exact only on some classes with s | 48 (its docstring names them);
+hurwitz_numbers takes the Hurwitz numbers H(n) directly, weighting
+(a, 0, a) by 1/2 and (a, a, a) by 1/3, for any s.
 Several workers may split the a-range of class_number_table into
 interleaved stripes whose counts are summed exactly, so results are
 bit-identical for any worker count.
@@ -263,12 +265,15 @@ def _count_forms(limit: int, modulus: int, first: int, stripes: int,
         g = gcd(4 * a, modulus)
         step, period = 4 * a // g, modulus // g  # strides of index and c
         inverse = pow(step, -1, period)
-        for beta in range(a + 1):
+        # 4ac - beta^2 = first mod g has a solution c only for these beta
+        roots = [rho for rho in range(min(g, a + 1))
+                 if (first + rho * rho) % g == 0]
+        for beta in (b for rho in roots for b in range(rho, a + 1, g)):
             bb = beta * beta
             # c = c0 + k * period, k <= n: c >= a, 4ac - bb = first mod modulus
             c0 = a + ((first + bb) // g * inverse - a) % period
             n = ((limit + bb) // (4 * a) - c0) // period
-            if (first + bb) % g or n < 0:
+            if n < 0:
                 continue
             lo = (4 * a * c0 - bb - first) // modulus
             # b = +beta from c >= a, and b = -beta (0 < beta < a) from c > a
@@ -279,14 +284,30 @@ def _count_forms(limit: int, modulus: int, first: int, stripes: int,
     return counts
 
 
+def _mobius_class(modulus: int, residue: int) -> bool:
+    if modulus < 1 or 48 % modulus or 24 * residue % modulus:
+        return False
+    if modulus % 3 == 0 and residue % 3 == 0:
+        return False
+    return (modulus % 2 or residue % 2 == 1
+            or (modulus % 16 == 0 and residue % 16 in (4, 8)))
+
+
 def class_number_table(limit: int, workers: int = 1, modulus: int = 1,
                        residue: int = 0) -> np.ndarray:
     """h(-d) for 1 <= d <= limit with d = residue mod modulus, at index
     (d - d0) // modulus where d0 is the least positive member of the class
-    (index d - 1 by default).  Zero unless d is 0 or 3 mod 4."""
-    if modulus < 1 or 24 % modulus or gcd(residue, modulus) != 1:
-        raise ValueError("the Mobius step over f^2 stays in d = r mod s "
-                         "only for s | 24 and gcd(r, s) = 1")
+    (index d - 1 by default).  Zero unless d is 0 or 3 mod 4.
+
+    The Mobius step is exact only on some classes r mod s, and only those
+    are accepted: s | 48 and s | 24 r, so that d / p^2 stays in the class
+    for every prime p prime to s; and the primes 2, 3 that divide s never
+    contribute, because 3 does not divide r when 3 | s, and when 2 | s
+    either r is odd or 16 | s with r = 4, 8 mod 16 (then d / 4 = 1, 2 mod 4
+    is no discriminant)."""
+    if not _mobius_class(modulus, residue):
+        raise ValueError("the Mobius step over f^2 is not exact on the "
+                         "class %d mod %d" % (residue, modulus))
     first = (residue - 1) % modulus + 1
     stripes = max(1, min(workers, isqrt(limit // 3)))
     if stripes > 1:

@@ -350,6 +350,13 @@ def main(argv=None) -> int:
         # all land here: the invocation was wrong, not the mathematics
         print("plusforms: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except ModuleNotFoundError as exc:
+        # numpy is imported only where a class-number table is built, so a
+        # broken install fails here, on use, and not at start-up
+        if exc.name != "numpy":
+            raise
+        print("plusforms: this command needs numpy", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry() -> None:

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plusforms.census import (
+    FIELD_CLASSES,
     BridgeViolationError,
     beta_census_crosscheck,
     census_rows,
@@ -102,6 +103,27 @@ class TestBatchClassNumbers:
         with pytest.raises(ValueError):
             class_number_table(100, modulus=modulus, residue=residue)
 
+    def test_every_accepted_class_matches_oracle(self):
+        # the widened class rule, swept: whatever class the table accepts,
+        # its Mobius step must give the primitive class numbers
+        limit = 2000
+        accepted = set()
+        for modulus in range(1, 49):
+            for residue in range(modulus):
+                try:
+                    tables = [class_number_table(limit, workers, modulus,
+                                                 residue)
+                              for workers in (1, 2)]
+                except ValueError:
+                    continue
+                accepted.add((modulus, residue))
+                expected = [form_class_number(-d) if d % 4 in (0, 3) else 0
+                            for d in range(1, limit + 1)
+                            if d % modulus == residue]
+                for table in tables:
+                    assert table.tolist() == expected, (modulus, residue)
+        assert set(FIELD_CLASSES) <= accepted
+
     def test_worker_determinism(self):
         a = class_number_table(1200, workers=1)
         b = class_number_table(1200, workers=2)
@@ -133,6 +155,13 @@ class TestCensus:
             assert field == -d or field == -4 * d or field == -(d // 4)
             assert h == class_number_of_field(-d)
             assert h3 == h % 3
+
+    def test_field_classes_partition_the_population(self):
+        for d, field, h, _ in census_rows(5000):
+            homes = [(modulus, residue) for modulus, residue in FIELD_CLASSES
+                     if -field % modulus == residue]
+            assert len(homes) == 1, (d, field)
+            assert h == class_number_of_field(-d), d
 
     def test_workers_agree(self):
         assert nonvanishing_census(3000, workers=1) == \

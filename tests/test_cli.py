@@ -252,15 +252,17 @@ class TestCensusCommand:
         calls = []
         table = census.class_number_table
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return table(*args, **kwargs)
+        def counting(limit, workers=1, modulus=1, residue=0):
+            calls.append((modulus, residue))
+            return table(limit, workers, modulus, residue)
 
         monkeypatch.setattr(census, "class_number_table", counting)
         target = tmp_path / "rows.csv"
         code, out, _ = run(capsys, "census", "--x", "1000",
                            "--csv", str(target))
-        assert code == 0 and len(calls) == 1
+        # one table per class of field discriminants, none built twice
+        assert code == 0 and len(set(calls)) == len(calls)
+        assert sorted(calls) == sorted(census.FIELD_CLASSES)
         # the JSON report and the CSV are pinned byte for byte
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "e03f615ca0563193cbbb3b0da5a7e93651a3e6843a039369ff221351f47d07c5"

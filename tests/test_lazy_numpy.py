@@ -1,5 +1,6 @@
 """numpy loads on use: only the reduced-form count engine and the census
-sieves import it, so q-series commands never pay its start-up cost."""
+sieves import it, so q-series commands never pay its start-up cost, and a
+command that needs it fails as a usage error where numpy is missing."""
 
 import json
 import subprocess
@@ -53,3 +54,29 @@ def test_command_never_imports_numpy(argv):
 ], ids=" ".join)
 def test_class_number_tables_import_numpy(argv):
     assert loads_numpy(argv)
+
+
+WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.path.insert(0, %r)
+sys.modules["numpy"] = None  # every import of numpy now fails
+from plusforms import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps(code))
+""" % SRC
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--x", "100"],
+    ["classnum", "--hurwitz", "27"],
+    ["verify", "cong"],
+    ["verify", "psi:12"],
+    ["expand", "--form", "g31", "--prec", "50"],
+], ids=" ".join)
+def test_missing_numpy_is_a_usage_error(argv):
+    done = subprocess.run(
+        [sys.executable, "-c", WITHOUT_NUMPY, json.dumps(argv)],
+        capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == 64
+    assert done.stderr == "plusforms: this command needs numpy\n"
