@@ -214,7 +214,8 @@ def beta_census_crosscheck(x: int, phi_form=None) -> int:
     """For every fundamental D = 1 mod 3 with 1 < D < x on the plus-space
     support, assert that the q^D coefficient of phi(9) is nonzero mod 3
     exactly when 3 does not divide h(Q(sqrt(-D))).  Returns the number of
-    discriminants checked; a violation raises."""
+    discriminants checked; a violation raises, and so does (with
+    NonIntegralCoefficientError) a phi_form that is not 3-integral."""
     if phi_form is None:
         from .constructions import phi
 
@@ -222,14 +223,13 @@ def beta_census_crosscheck(x: int, phi_form=None) -> int:
     if phi_form.series.precision < x:
         raise ValueError("phi(9) precision %d < x = %d"
                          % (phi_form.series.precision, x))
+    betas = phi_form.series.reduce_mod(3).coeffs
     ds, _, hs = _census_classes(x, 1)
     checked = 0
     for d, h in zip(ds.tolist(), hs.tolist()):
         if d % 4:  # off the plus-space support D = 0, 3 mod 4
             continue
-        beta = phi_form.series.coeffs[d]
-        beta_res = beta.numerator * pow(beta.denominator, -1, 3) % 3
-        if (beta_res != 0) != (h % 3 != 0):
+        if (betas[d] != 0) != (h % 3 != 0):
             raise BridgeViolationError(d)
         checked += 1
     return checked

@@ -2,7 +2,9 @@
 
 Subcommands: expand (render a form's q-expansion), verify (machine-check a
 congruence target), census (discriminant densities), classnum (single class
-number / Hurwitz values), sturm (bound calculator).
+number / Hurwitz values), sturm (bound calculator).  verify cong and
+verify psi:k check a pair, either side the lighter one, to the Sturm bound
+of its sturm_plan (read off the forms' metadata), at 6/5 of it by default.
 
 Exit codes are a stable contract: 0 verified/ok, 1 mismatch, 2 insufficient
 precision, 3 non-integral coefficient, 64 usage.  JSON goes to stdout;
@@ -27,6 +29,7 @@ from .congruence_engine import (
     direct_report,
     index_gamma0,
     sturm_bound,
+    sturm_plan,
     verify_congruence,
 )
 from .constructions import (
@@ -148,19 +151,19 @@ def _cmd_expand(args) -> int:
 # -- verify -----------------------------------------------------------------
 
 
-def _verify_cong(precision, units) -> CongruenceReport:
-    bound = sturm_bound(20, 324)
-    precision = _capped(-(-bound * 6 // 5) if precision is None else precision)
-    return verify_congruence(f_form(precision), g31(precision), 3,
-                             units=units)
+def _verify_pair(target, precision, units) -> CongruenceReport:
+    """verify_congruence mod 3 on the pair `target` (cong or psi:k) names, at
+    --prec or 6/5 of its Sturm bound, planned from a build at precision 1."""
+    def build(p):
+        if target == "cong":
+            return f_form(p), g31(p)
+        k = int(target.split(":")[1])
+        return ap_named(psi(k, p), 2, 3), hurwitz_progression(p)
 
-
-def _verify_psi(k, precision, units) -> CongruenceReport:
-    bound = sturm_bound(2 * (2 * k + 1), 324)
-    precision = _capped(-(-bound * 6 // 5) if precision is None else precision)
-    lhs = ap_named(psi(k, precision), 2, 3)
-    rhs = hurwitz_progression(precision)
-    return verify_congruence(lhs, rhs, 3, units=units)
+    if precision is None:
+        plan = sturm_plan(*(form.meta for form in build(1)))
+        precision = -(-sturm_bound(plan.twice_weight, plan.level) * 6 // 5)
+    return verify_congruence(*build(_capped(precision)), 3, units=units)
 
 
 def _verify_remark3(precision, units) -> CongruenceReport:
@@ -213,10 +216,8 @@ def _report_exit(report: CongruenceReport) -> int:
 def _cmd_verify(args) -> int:
     units = None if args.unit == "auto" else (int(args.unit),)
     target = args.target
-    if target == "cong":
-        reports = [_verify_cong(args.prec, units)]
-    elif target.startswith("psi:"):
-        reports = [_verify_psi(int(target.split(":")[1]), args.prec, units)]
+    if target == "cong" or target.startswith("psi:"):
+        reports = [_verify_pair(target, args.prec, units)]
     elif target == "remark3":
         reports = [_verify_remark3(args.prec, units)]
     elif target.startswith("ut:"):

@@ -2,7 +2,10 @@
 
 Two half-integral weight forms are compared modulo m by reducing the claim
 to a congruence of classical integral-weight forms, where Sturm's theorem
-gives an explicit coefficient cutoff:
+gives an explicit coefficient cutoff.  `sturm_plan` reads that reduction
+off the two forms' metadata alone, either side being the lighter one: the
+strategy, the gap t, and the twice-weight and level of the integral-weight
+pair, whose Sturm bound is the bound a target is checked to.
 
 * Even weight gap t: the lighter side is multiplied by the weight-t
   monomial R_t (identically 1 mod 3), then both sides by theta, whose
@@ -17,6 +20,7 @@ gives an explicit coefficient cutoff:
   series agree to the bound, and the direct coefficient check settles the
   sign.
 
+R_t is identically 1 only mod 3, so a gap t > 0 is compared mod 3 only.
 All comparisons run on mod-m reductions, so the Cauchy products stay in
 small integers.
 """
@@ -24,11 +28,13 @@ small integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import gcd, lcm
 
 from .class_numbers import _factorize
 from .cohen_eisenstein import theta
 from .constructions import NamedForm
+from .level_one_forms import FormMeta
 from .operators import r_t
 from .qseries import QSeries
 
@@ -38,7 +44,7 @@ class HalfIntegralWeightError(ValueError):
 
 
 class IncompatibleWeightsError(ValueError):
-    """The weight gap is negative or odd, so R_t cannot equalize it."""
+    """The weight gap is odd, so R_t and theta cannot equalize it."""
 
 
 def index_gamma0(level: int) -> int:
@@ -63,48 +69,71 @@ def sturm_bound(twice_weight: int, level: int) -> int:
     return (prod + 23) // 24 + 1
 
 
-def _r_weights(t: int) -> tuple[int, int]:
-    """Weights of the R factors (heavy side, light side) that bridge an even
-    weight gap t, by the rule in the module docstring; the heavy side's
-    weight rises by the first."""
-    return (4, 6) if t == 2 else (0, t)
+@dataclass(frozen=True)
+class SturmPlan:
+    """The integral-weight pair a half-integral pair is checked on: the
+    strategy, the R_t gap t, the R weights on (lhs, rhs), and the pair's
+    twice-weight and level."""
+
+    strategy: str                    # theta_integralize | squared
+    t: int
+    r_weights: tuple[int, int]
+    twice_weight: int
+    level: int
+
+    def check_modulus(self, m: int) -> None:
+        """R_t is identically 1 mod 3 only, so a gap t > 0 needs m = 3."""
+        if self.t and m != 3:
+            raise ValueError("R_t is a congruence no-op only modulo 3")
 
 
-def _equalize(heavy: QSeries, light: QSeries, t: int,
-              m: int | None = None) -> tuple[QSeries, QSeries]:
-    """Multiply each side by its R factor from _r_weights(t), reduced mod m
-    when m is given."""
-    precision = min(heavy.precision, light.precision)
-    sides = []
-    for side, weight in zip((heavy, light), _r_weights(t)):
+def sturm_plan(lhs_meta: FormMeta, rhs_meta: FormMeta) -> SturmPlan:
+    """The Sturm plan of two half-integral weight forms, by the rules in the
+    module docstring; either side may be the lighter one."""
+    wl, wr = lhs_meta.twice_weight, rhs_meta.twice_weight
+    if wl % 2 == 0 or wr % 2 == 0:
+        raise HalfIntegralWeightError("both sides must be half-integral")
+    gap2, heavy = abs(wl - wr), max(wl, wr)
+    if gap2 % 4 == 0:
+        strategy, t, twice_weight = "theta_integralize", gap2 // 2, heavy + 1
+    else:       # the squares have weights wl and wr, an even gap
+        strategy, t, twice_weight = "squared", gap2, 2 * heavy
+    up, down = (4, 6) if t == 2 else (0, t)     # R weights (heavy, light)
+    return SturmPlan(strategy, t, (up, down) if wl >= wr else (down, up),
+                     twice_weight + 2 * up,
+                     lcm(lhs_meta.level_bound, rhs_meta.level_bound, 4))
+
+
+def _integral_pair(plan: SturmPlan, lhs: QSeries, rhs: QSeries,
+                   m: int | None = None) -> tuple[QSeries, QSeries]:
+    """The plan's integral-weight pair: theta times each side (or its
+    square), then each side's R factor; reduced mod m when m is given."""
+    precision = min(lhs.precision, rhs.precision)
+
+    def mod(series: QSeries) -> QSeries:
+        return series if m is None else series.reduce_mod(m)
+
+    if plan.strategy == "theta_integralize":
+        th = mod(theta(precision).series)
+        sides = [lhs * th, rhs * th]
+    else:
+        sides = [lhs * lhs, rhs * rhs]
+    for i, weight in enumerate(plan.r_weights):
         if weight:
-            r = r_t(weight, precision).series
-            side = side * (r if m is None else r.reduce_mod(m))
-        sides.append(side)
+            sides[i] = sides[i] * mod(r_t(weight, precision).series)
     return sides[0], sides[1]
 
 
 def equalize_and_integralize(lhs: NamedForm, rhs: NamedForm,
                              m: int) -> tuple[QSeries, QSeries, int, int]:
-    """Equalize two half-integral weights with R_t (a mod-3 no-op) and
-    multiply both sides by theta; returns the two integral-weight series,
-    their common twice-weight and a conservative common level."""
-    wl, wr = lhs.meta.twice_weight, rhs.meta.twice_weight
-    if wl % 2 == 0 or wr % 2 == 0:
-        raise HalfIntegralWeightError("both inputs must be half-integral")
-    gap2 = wl - wr
-    if gap2 < 0 or gap2 % 4 != 0:
-        raise IncompatibleWeightsError(
-            "weight gap %s/2 is negative or odd" % gap2)
-    t = gap2 // 2
-    if t > 0 and m != 3:
-        raise ValueError("R_t is a congruence no-op only modulo 3")
-    precision = min(lhs.series.precision, rhs.series.precision)
-    left, right = _equalize(lhs.series.truncate(precision),
-                            rhs.series.truncate(precision), t)
-    th = theta(precision).series
-    level = lcm(lhs.meta.level_bound, rhs.meta.level_bound, 4)
-    return left * th, right * th, wl + 1 + 2 * _r_weights(t)[0], level
+    """The theta_integralize pair of two half-integral forms over Q, with
+    the plan's twice-weight and level."""
+    plan = sturm_plan(lhs.meta, rhs.meta)
+    if plan.strategy != "theta_integralize":
+        raise IncompatibleWeightsError("odd weight gap: compare the squares")
+    plan.check_modulus(m)
+    return (*_integral_pair(plan, lhs.series, rhs.series), plan.twice_weight,
+            plan.level)
 
 
 @dataclass(frozen=True)
@@ -190,65 +219,34 @@ def direct_report(lhs_name: str, rhs_name: str, lhs: QSeries, rhs: QSeries,
 
 def verify_congruence(lhs: NamedForm, rhs: NamedForm, m: int = 3, *,
                       units: tuple[int, ...] | None = None) -> CongruenceReport:
-    """Check lhs = unit * rhs mod m up to the Sturm bound of the equalized
-    integral-weight pair; units are tried in ascending order starting at 1
-    (or restricted to `units` when given).  A mismatch is reported at the
-    first n where lhs != u0 * rhs, u0 the first unit tried; when the rows
-    match a unit u but the Sturm-level rows do not, at the first n where
-    those differ under u (u^2 under the squared strategy).  For prime m
-    that u is u0.  Outcomes are reported, never raised."""
-    if lhs.meta.twice_weight % 2 == 0 or rhs.meta.twice_weight % 2 == 0:
-        raise HalfIntegralWeightError("verify_congruence compares "
-                                      "half-integral weight forms")
-    heavy, light, flipped = lhs, rhs, False
-    if lhs.meta.twice_weight < rhs.meta.twice_weight:
-        heavy, light, flipped = rhs, lhs, True
-    gap2 = heavy.meta.twice_weight - light.meta.twice_weight
-    level = lcm(heavy.meta.level_bound, light.meta.level_bound, 4)
-    if gap2 % 4 == 0:
-        strategy, t = "theta_integralize", gap2 // 2
-        out_tw = heavy.meta.twice_weight + 1
-    else:
-        strategy = "squared"
-        t = gap2          # gap of the squared weights, always even
-        out_tw = 2 * heavy.meta.twice_weight
-    bound = sturm_bound(out_tw + 2 * _r_weights(t)[0], level)
-
+    """Check lhs = unit * rhs mod m up to the bound of sturm_plan; units are
+    tried in ascending order from 1 (or only `units` when given).  A
+    mismatch is reported at the first n where lhs != u0 * rhs, u0 the first
+    unit tried; when the rows match a unit u but the Sturm-level rows do
+    not, at the first n where those differ under u (u^2 when squared).  For
+    prime m that u is u0.  Outcomes are reported, never raised; t > 0 with
+    m != 3 is a ValueError."""
+    plan = sturm_plan(lhs.meta, rhs.meta)
+    plan.check_modulus(m)
+    bound = sturm_bound(plan.twice_weight, plan.level)
+    report = partial(CongruenceReport, lhs.name, rhs.name, m, bound, plan.t,
+                     plan.strategy)
     available = min(lhs.series.precision, rhs.series.precision)
     if available < bound:
-        return CongruenceReport(lhs.name, rhs.name, m, bound, t, strategy,
-                                "insufficient_precision",
-                                required=bound, available=available)
+        return report("insufficient_precision", required=bound,
+                      available=available)
 
-    hv = heavy.series.truncate(bound).reduce_mod(m)
-    lt = light.series.truncate(bound).reduce_mod(m)
-    if strategy == "theta_integralize":
-        th = theta(bound).series.reduce_mod(m)
-        hv_int, lt_int = _equalize(hv * th, lt * th, t, m)
-    else:
-        hv_int, lt_int = _equalize(hv * hv, lt * lt, t, m)
-
-    if units is None:
-        units = _candidate_units(m)
-    elif flipped:
-        # requested units speak lhs = u * rhs; internally we test the
-        # heavier side against the lighter one
-        units = tuple(pow(u, -1, m) for u in units)
-    unit, first = _first_difference(hv, lt, m, bound, units)
-    rows = hv, lt
+    left = lhs.series.truncate(bound).reduce_mod(m)
+    right = rhs.series.truncate(bound).reduce_mod(m)
+    unit, first = _first_difference(left, right, m, bound,
+                                    units or _candidate_units(m))
+    rows = left, right
     if unit is not None:
-        # Sturm-level object: for squares the unit acts as unit^2
-        unit_int = unit if strategy == "theta_integralize" else unit * unit % m
-        rows = hv_int, lt_int
-        matched, first = _first_difference(hv_int, lt_int, m, bound,
-                                           (unit_int,))
+        # Sturm-level rows: for squares the unit acts as unit^2
+        rows = _integral_pair(plan, left, right, m)
+        unit_int = unit * unit % m if plan.strategy == "squared" else unit
+        matched, first = _first_difference(*rows, m, bound, (unit_int,))
         if matched is not None:
-            reported = unit if not flipped else pow(unit, -1, m)
-            return CongruenceReport(lhs.name, rhs.name, m, bound, t, strategy,
-                                    "verified", unit=reported)
-    lhs_val, rhs_val = rows[0].coeffs[first], rows[1].coeffs[first]
-    if flipped:
-        lhs_val, rhs_val = rhs_val, lhs_val
-    return CongruenceReport(lhs.name, rhs.name, m, bound, t, strategy,
-                            "mismatch", unit=None, first_n=first,
-                            lhs_value=lhs_val, rhs_value=rhs_val)
+            return report("verified", unit=unit)
+    return report("mismatch", first_n=first, lhs_value=rows[0].coeffs[first],
+                  rhs_value=rows[1].coeffs[first])

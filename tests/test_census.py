@@ -197,3 +197,17 @@ class TestBridge:
     def test_requires_enough_precision(self):
         with pytest.raises(ValueError):
             beta_census_crosscheck(100, phi(9, 50))
+
+
+def test_crosscheck_rejects_a_form_that_is_not_3_integral():
+    from fractions import Fraction
+
+    from plusforms.qseries import NonIntegralCoefficientError
+
+    base = phi(9, 60)
+    coeffs = list(base.series.coeffs)
+    coeffs[28] = Fraction(1, 3)
+    broken = NamedForm(base.name, QSeries.rational(coeffs), base.meta,
+                       base.trace)
+    with pytest.raises(NonIntegralCoefficientError):
+        beta_census_crosscheck(60, broken)

@@ -329,3 +329,35 @@ class TestOtherCommands:
         with pytest.raises(SystemExit) as err:
             cli.main(["frobnicate"])
         assert err.value.code == 64
+
+
+class TestDefaultVerifyPrecision:
+    def test_psi14_verifies_at_default_precision(self, capsys):
+        code, out, _ = run(capsys, "verify", "psi:14")
+        assert code == 0
+        report = json.loads(out)
+        assert (report["status"], report["bound"], report["unit"]) == \
+            ("verified", 3133, 1)
+
+    @pytest.mark.parametrize("target", ["cong"] + ["psi:%d" % k
+                                                   for k in range(12, 31, 2)])
+    def test_default_precision_is_six_fifths_of_the_engine_bound(
+            self, capsys, monkeypatch, target):
+        # every builder records the precision asked of it and builds at
+        # precision 1, so the engine reports the bound it needs instead of
+        # running the comparison
+        requested = []
+
+        def at_precision_one(builder):
+            def build(*args):
+                requested.append(args[-1])
+                return builder(*args[:-1], 1)
+            return build
+
+        for name in ("f_form", "g31", "psi", "hurwitz_progression"):
+            builder = at_precision_one(getattr(cli, name))
+            monkeypatch.setattr(cli, name, builder)
+        code, out, _ = run(capsys, "verify", target)
+        assert code == 2
+        bound = json.loads(out)["required"]
+        assert max(requested) == -(-bound * 6 // 5)

@@ -7,6 +7,7 @@ from plusforms.congruence_engine import (
     equalize_and_integralize,
     index_gamma0,
     sturm_bound,
+    sturm_plan,
     verify_congruence,
 )
 from plusforms.constructions import (
@@ -187,3 +188,77 @@ class TestGapTwo:
         assert report.verified and report.strategy == strategy
         assert report.weight_equalizer == 2
         assert report.bound_used == sturm_bound(out_tw, 4)
+
+
+class TestLighterLhs:
+    # the lighter form as lhs: bound, strategy and t are those of the
+    # heavier-first order, and units and values speak lhs = u * rhs
+    def test_g31_against_f_verifies_with_unit_2(self):
+        report = verify_congruence(g31(650), f_form(650), 3)
+        assert report.verified
+        assert (report.unit, report.bound_used) == (2, 541)
+        assert report.strategy == "theta_integralize"
+        assert report.weight_equalizer == 8
+
+    def test_g31_against_f_unit_1_mismatch(self):
+        report = verify_congruence(g31(650), f_form(650), 3, units=(1,))
+        assert report.status == "mismatch"
+        assert (report.first_n, report.lhs_value, report.rhs_value) == \
+            (4, 2, 1)
+
+    def test_hurwitz_against_psi_unit_2_mismatch(self):
+        p = 1622
+        report = verify_congruence(hurwitz_progression(p),
+                                   ap_named(psi(12, p), 2, 3), 3, units=(2,))
+        assert report.status == "mismatch"
+        assert report.strategy == "squared" and report.bound_used == 1351
+        assert (report.first_n, report.lhs_value, report.rhs_value) == \
+            (5, 2, 2)
+
+
+class TestSturmPlan:
+    def test_f_against_g31(self):
+        plan = sturm_plan(f_form(1).meta, g31(1).meta)
+        assert (plan.strategy, plan.t, plan.twice_weight, plan.level) == \
+            ("theta_integralize", 8, 20, 324)
+        assert plan.r_weights == (0, 8)
+        assert sturm_bound(plan.twice_weight, plan.level) == 541
+
+    @pytest.mark.parametrize("heavy_tw,light_tw", [(19, 3), (25, 3), (7, 3),
+                                                   (5, 3), (9, 9)])
+    def test_either_side_may_be_the_lighter(self, heavy_tw, light_tw):
+        heavy, light = FormMeta(heavy_tw, 36), FormMeta(light_tw, 324)
+        plan = sturm_plan(heavy, light)
+        swapped = sturm_plan(light, heavy)
+        assert swapped.r_weights == plan.r_weights[::-1]
+        assert (swapped.strategy, swapped.t, swapped.twice_weight,
+                swapped.level) == (plan.strategy, plan.t, plan.twice_weight,
+                                   plan.level)
+
+    def test_psi14_level_is_648(self):
+        plan = sturm_plan(ap_named(psi(14, 1), 2, 3).meta,
+                          hurwitz_progression(1).meta)
+        assert plan.strategy == "squared"
+        assert plan.level == 648
+        assert sturm_bound(plan.twice_weight, plan.level) == 3133
+
+    def test_integral_weight_rejected(self):
+        with pytest.raises(HalfIntegralWeightError):
+            sturm_plan(FormMeta(4, 4), FormMeta(3, 4))
+
+
+class TestModulusRule:
+    # R_t is identically 1 only mod 3: a nonzero gap needs m = 3
+    def test_verify_rejects_a_gap_modulo_5(self):
+        with pytest.raises(ValueError, match="only modulo 3"):
+            verify_congruence(f_form(650), g31(650), 5)
+
+    def test_equalize_rejects_a_gap_modulo_5(self):
+        with pytest.raises(ValueError, match="only modulo 3"):
+            equalize_and_integralize(f_form(60), g31(60), 5)
+
+    def test_gap_zero_keeps_every_modulus(self):
+        a = phi(9, 30)
+        report = verify_congruence(a, a, 5)
+        assert report.verified and report.unit == 1
+        assert equalize_and_integralize(a, a, 7)[2:] == (20, 4)
