@@ -54,6 +54,9 @@ EXIT_PRECISION = 2
 EXIT_INTEGRALITY = 3
 EXIT_USAGE = 64
 
+# the most coefficients a verify target builds: far above the paper's bounds
+VERIFY_CEILING = 10 ** 6
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -84,6 +87,16 @@ def _capped(precision: int) -> int:
         raise UsageError("--prec must be >= 1")
     cap = _prec_cap()
     return precision if cap is None else min(precision, cap)
+
+
+def _verify_precision(target: str, precision: int) -> int:
+    """The capped precision a verify target builds, at most the ceiling."""
+    precision = _capped(precision)
+    if precision > VERIFY_CEILING:
+        raise UsageError("verify %s would build %d coefficients, above the "
+                         "limit of %d; choose a smaller --prec"
+                         % (target, precision, VERIFY_CEILING))
+    return precision
 
 
 def _open_output(path: str, **kwargs):
@@ -163,11 +176,13 @@ def _verify_pair(target, precision, units) -> CongruenceReport:
     if precision is None:
         plan = sturm_plan(*(form.meta for form in build(1)))
         precision = -(-sturm_bound(plan.twice_weight, plan.level) * 6 // 5)
-    return verify_congruence(*build(_capped(precision)), 3, units=units)
+    return verify_congruence(*build(_verify_precision(target, precision)), 3,
+                             units=units)
 
 
 def _verify_remark3(precision, units) -> CongruenceReport:
-    precision = _capped(300 if precision is None else precision)
+    precision = _verify_precision("remark3",
+                                  300 if precision is None else precision)
     lhs = cusp_line_13_half(precision)
     rhs = theta_off_multiples_of_three(precision)
     return direct_report(lhs.name, rhs.name, lhs.series.reduce_mod(3),
@@ -177,7 +192,7 @@ def _verify_remark3(precision, units) -> CongruenceReport:
 def _verify_ut(ell, precision) -> list[CongruenceReport]:
     check_odd_prime(ell)
     out_prec = _capped(100 if precision is None else precision)
-    in_prec = _capped(ell * ell * out_prec)
+    in_prec = _verify_precision("ut:%d" % ell, ell * ell * out_prec)
     sources = [
         ("theta", theta(in_prec).series, 0),
         ("cohen:2", cohen_series(2, in_prec).series, 2),
@@ -195,7 +210,7 @@ def _verify_ut(ell, precision) -> list[CongruenceReport]:
 
 
 def _verify_rt(precision) -> list[CongruenceReport]:
-    depth = _capped(100 if precision is None else precision)
+    depth = _verify_precision("rt", 100 if precision is None else precision)
     reports = []
     for t in range(0, 41, 2):
         if t == 2:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from . import _cache
 from .class_numbers import (
@@ -50,7 +50,7 @@ from .level_one_forms import (
     sigma,
 )
 from .operators import dilate4, v4_precision
-from .qseries import QSeries, RATIONAL, _cleared, _kronecker
+from .qseries import QSeries, RATIONAL, _kronecker
 
 
 class ResidueConditionViolatedError(ValueError):
@@ -87,12 +87,13 @@ class PlusForm:
         if self.meta.twice_weight != 2 * self.k + 1:
             raise ValueError("meta weight disagrees with k")
         bad = forbidden_residues(self.k)
-        for n, c in enumerate(self.series.coeffs):
-            if c and n % 4 in bad:
-                raise PlusConditionError(
-                    "nonzero coefficient %s at q^%d (n = %d mod 4)"
-                    % (c, n, n % 4)
-                )
+        nums = self.series.nums
+        if any(any(nums[r::4]) for r in bad):
+            n = next(n for n, c in enumerate(nums) if c and n % 4 in bad)
+            raise PlusConditionError(
+                "nonzero coefficient %s at q^%d (n = %d mod 4)"
+                % (self.series.coefficient(n), n, n % 4)
+            )
 
 
 def _fundamental_decomposition(n0: int) -> tuple[int, int]:
@@ -169,10 +170,7 @@ def _echelon(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
     coefficient 1, and their pivot columns.  The elimination runs on
     integer rows with each row's content divided out, so its inner loop
     makes no Fraction."""
-    work = []
-    for row in rows:
-        den = lcm(*(v.denominator for v in row))
-        work.append([int(v * den) for v in row])
+    work = [list(QSeries.rational(row).nums) for row in rows]
     pivots: list[int] = []
     for col in range(len(work[0]) if work else 0):
         rank = len(pivots)
@@ -192,14 +190,13 @@ def _echelon(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
             for row, col in zip(work, pivots)], pivots
 
 
-def _combination(rows: list[list[int]], coord,
-                 length: int) -> tuple[Fraction, ...]:
+def _combination(rows: list[list[int]], coord, length: int) -> QSeries:
     """The first `length` entries of sum(coord[b] * rows[b]) for integer
     rows and rational coord, formed over Z with one common denominator."""
-    den = lcm(*(c.denominator for c in coord))
-    terms = [(c, row) for c, row in zip(_cleared(coord, den), rows) if c]
-    return tuple(Fraction(sum(c * row[i] for c, row in terms), den)
-                 for i in range(length))
+    weights = QSeries.rational(coord)
+    terms = [(c, row) for c, row in zip(weights.nums, rows) if c]
+    return QSeries.from_row(RATIONAL, [sum(c * row[i] for c, row in terms)
+                                       for i in range(length)], weights.den)
 
 
 def _plus_space(k: int, precision: int) -> tuple[
@@ -249,7 +246,7 @@ def _plus_space(k: int, precision: int) -> tuple[
     echelon, pivots = _echelon(kernel)
     tails = [head[b][length:] for b in unknowns]
     return (rows, [unknowns[j] for j in pivots],
-            [_combination(tails, row, size) for row in echelon])
+            [_combination(tails, row, size).coeffs for row in echelon])
 
 
 def plus_space_basis(k: int, precision: int) -> list[tuple[int, PlusForm]]:
@@ -261,8 +258,7 @@ def plus_space_basis(k: int, precision: int) -> list[tuple[int, PlusForm]]:
     whose dimension is not 1 + dim S_{2k}."""
     rows, pivots, coords = _plus_space(k, precision)
     meta = FormMeta(2 * k + 1, 4)
-    return [(n, PlusForm(QSeries._trusted(
-                RATIONAL, _combination(rows, coord, precision)), meta, k))
+    return [(n, PlusForm(_combination(rows, coord, precision), meta, k))
             for n, coord in zip(pivots, coords)]
 
 
@@ -271,7 +267,7 @@ def _cohen_series(r: int, precision: int) -> QSeries:
     values = [cohen_h(r, n) for n in pivots]
     coord = [sum(v * c for v, c in zip(values, column))
              for column in zip(*coords)]
-    return QSeries._trusted(RATIONAL, _combination(rows, coord, precision))
+    return _combination(rows, coord, precision)
 
 
 def cohen_series(r: int, precision: int) -> PlusForm:
@@ -289,7 +285,8 @@ def cohen_series(r: int, precision: int) -> PlusForm:
 
 def theta(precision: int) -> Form:
     """1 + 2 sum(q^(n^2)), weight 1/2 on level 4."""
-    return Form(QSeries.rational(_theta_row(precision)), FormMeta(1, 4))
+    return Form(QSeries.from_row(RATIONAL, _theta_row(precision)),
+                FormMeta(1, 4))
 
 
 def g_ab(a: int, b: int, precision: int) -> Form:
@@ -302,7 +299,7 @@ def g_ab(a: int, b: int, precision: int) -> Form:
         raise ResidueConditionViolatedError(
             "-%d is a square mod %d; the progression is not modular" % (b, a)
         )
-    coeffs = [Fraction(0)] * precision
+    coeffs = [0] * precision
     coeffs[b % a::a] = hurwitz_numbers(precision - 1, a, b)
     level = a * a if a % 2 == 0 else 4 * a * a
     return Form(QSeries.rational(coeffs), FormMeta(3, level, character="unset"))

@@ -21,8 +21,8 @@ pair, whose Sturm bound is the bound a target is checked to.
   sign.
 
 R_t is identically 1 only mod 3, so a gap t > 0 is compared mod 3 only.
-All comparisons run on mod-m reductions, so the Cauchy products stay in
-small integers.
+All comparisons run on mod-m reductions, and theta and R_t are built in
+Z/m (E_4, E_6 reduced before the powers), so every product is in residues.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .class_numbers import _factorize
 from .cohen_eisenstein import theta
 from .constructions import NamedForm
 from .level_one_forms import FormMeta
-from .operators import r_t
+from .operators import r_series
 from .qseries import QSeries
 
 
@@ -104,23 +104,20 @@ def sturm_plan(lhs_meta: FormMeta, rhs_meta: FormMeta) -> SturmPlan:
                      lcm(lhs_meta.level_bound, rhs_meta.level_bound, 4))
 
 
-def _integral_pair(plan: SturmPlan, lhs: QSeries, rhs: QSeries,
-                   m: int | None = None) -> tuple[QSeries, QSeries]:
+def _integral_pair(plan: SturmPlan, lhs: QSeries,
+                   rhs: QSeries) -> tuple[QSeries, QSeries]:
     """The plan's integral-weight pair: theta times each side (or its
-    square), then each side's R factor; reduced mod m when m is given."""
+    square), then each side's R factor, all in the ring of lhs and rhs."""
     precision = min(lhs.precision, rhs.precision)
-
-    def mod(series: QSeries) -> QSeries:
-        return series if m is None else series.reduce_mod(m)
-
+    ring = lhs.ring
     if plan.strategy == "theta_integralize":
-        th = mod(theta(precision).series)
+        th = QSeries.from_row(ring, theta(precision).series.nums)
         sides = [lhs * th, rhs * th]
     else:
         sides = [lhs * lhs, rhs * rhs]
     for i, weight in enumerate(plan.r_weights):
         if weight:
-            sides[i] = sides[i] * mod(r_t(weight, precision).series)
+            sides[i] = sides[i] * r_series(weight, precision, ring)
     return sides[0], sides[1]
 
 
@@ -187,7 +184,7 @@ def _first_difference(a: QSeries, b: QSeries, m: int, depth: int,
     firsts = []
     for unit in units:
         first = next((n for n in range(depth)
-                      if a.coeffs[n] != unit * b.coeffs[n] % m), None)
+                      if a.nums[n] != unit * b.nums[n] % m), None)
         if first is None:
             return unit, None
         firsts.append(first)
@@ -213,8 +210,8 @@ def direct_report(lhs_name: str, rhs_name: str, lhs: QSeries, rhs: QSeries,
                                 "direct", "verified", unit=unit)
     return CongruenceReport(lhs_name, rhs_name, m, depth, equalizer_t,
                             "direct", "mismatch", first_n=first,
-                            lhs_value=lhs.coeffs[first],
-                            rhs_value=rhs.coeffs[first])
+                            lhs_value=lhs.nums[first],
+                            rhs_value=rhs.nums[first])
 
 
 def verify_congruence(lhs: NamedForm, rhs: NamedForm, m: int = 3, *,
@@ -243,10 +240,10 @@ def verify_congruence(lhs: NamedForm, rhs: NamedForm, m: int = 3, *,
     rows = left, right
     if unit is not None:
         # Sturm-level rows: for squares the unit acts as unit^2
-        rows = _integral_pair(plan, left, right, m)
+        rows = _integral_pair(plan, left, right)
         unit_int = unit * unit % m if plan.strategy == "squared" else unit
         matched, first = _first_difference(*rows, m, bound, (unit_int,))
         if matched is not None:
             return report("verified", unit=unit)
-    return report("mismatch", first_n=first, lhs_value=rows[0].coeffs[first],
-                  rhs_value=rows[1].coeffs[first])
+    return report("mismatch", first_n=first, lhs_value=rows[0].nums[first],
+                  rhs_value=rows[1].nums[first])

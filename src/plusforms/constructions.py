@@ -78,10 +78,10 @@ def _check_three_integral(series: QSeries) -> None:
 
 
 def _check_support(name: str, series: QSeries, allowed) -> None:
-    for n, c in enumerate(series.coeffs):
+    for n, c in enumerate(series.nums):
         if c and not allowed(n):
             raise SupportError("%s has unexpected coefficient %s at q^%d"
-                               % (name, c, n))
+                               % (name, series.coefficient(n), n))
 
 
 def _phi_series(k: int, precision: int) -> QSeries:

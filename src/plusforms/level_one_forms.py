@@ -100,9 +100,10 @@ def eisenstein(weight: int, precision: int) -> Form:
     if weight < 4 or weight % 2:
         raise ValueError("weight must be an even integer >= 4")
     factor = Fraction(-2 * weight) / bernoulli(weight)
+    num, den = factor.numerator, factor.denominator
     table = _sigma_table(weight - 1, precision)
-    coeffs = [Fraction(1)] + [factor * s for s in table[1:]]
-    return Form(QSeries(RATIONAL, tuple(coeffs)), FormMeta(2 * weight, 1))
+    row = [den] + [num * s for s in table[1:]]
+    return Form(QSeries.from_row(RATIONAL, row, den), FormMeta(2 * weight, 1))
 
 
 def _eta_series(precision: int) -> QSeries:
@@ -116,7 +117,7 @@ def _eta_series(precision: int) -> QSeries:
             if idx < precision:
                 coeffs[idx] += sign
         k += 1
-    return QSeries.rational(coeffs)
+    return QSeries.from_row(RATIONAL, coeffs)
 
 
 def delta(precision: int) -> Form:
@@ -124,10 +125,10 @@ def delta(precision: int) -> Form:
     if precision < 1:
         raise ValueError("precision must be positive")
     if precision == 1:
-        return Form(QSeries.rational((0,)), FormMeta(24, 1))
+        return Form(QSeries.zero(RATIONAL, 1), FormMeta(24, 1))
     eta24 = _eta_series(precision - 1) ** 24
-    coeffs = (Fraction(0),) + eta24.coeffs
-    return Form(QSeries(RATIONAL, coeffs), FormMeta(24, 1))
+    return Form(QSeries.from_row(RATIONAL, (0,) + eta24.nums),
+                FormMeta(24, 1))
 
 
 def mk_basis(k: int, precision: int) -> list[Form]:

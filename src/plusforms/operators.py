@@ -13,12 +13,13 @@ upper bounds only - that is all a Sturm cutoff needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle
 from math import lcm
 
 from . import _cache
 from .class_numbers import _factorize, kronecker
 from .level_one_forms import Form, FormMeta, _sigma_table, eisenstein
-from .qseries import QSeries, RATIONAL
+from .qseries import QSeries, RATIONAL, RingTag
 
 
 class NotOddPrimeError(ValueError):
@@ -83,8 +84,7 @@ def u_op(g: QSeries, d: int) -> QSeries:
         raise ValueError("d must be positive")
     if d == 1:
         return g
-    out_prec = (g.precision + d - 1) // d
-    return QSeries(g.ring, tuple(g.coeffs[n * d] for n in range(out_prec)))
+    return QSeries._trusted(g.ring, g.nums[::d], g.den)
 
 
 def v_op(g: QSeries, d: int) -> QSeries:
@@ -95,26 +95,24 @@ def v_op(g: QSeries, d: int) -> QSeries:
         raise ValueError("d must be positive")
     if d == 1:
         return g
-    out_prec = d * (g.precision - 1) + 1
-    out = [0] * out_prec
-    for n, c in enumerate(g.coeffs):
-        out[n * d] = c
-    return QSeries(g.ring, tuple(out))
+    out = [0] * (d * (g.precision - 1) + 1)
+    out[::d] = g.nums
+    return QSeries._trusted(g.ring, out, g.den)
 
 
 def twist(g: QSeries, chi: Character) -> QSeries:
     """a(n) -> chi(n) a(n)."""
-    return QSeries(g.ring,
-                   tuple(chi(n) * c for n, c in enumerate(g.coeffs)))
+    return QSeries.from_row(g.ring, [v * c for v, c in
+                                     zip(cycle(chi.values), g.nums)], g.den)
 
 
 def ap_project(g: QSeries, a: int, modulus: int) -> QSeries:
     """Keep coefficients with n = a mod modulus, zero the rest."""
     if not 0 <= a < modulus:
         raise ValueError("need 0 <= a < modulus")
-    return QSeries(g.ring,
-                   tuple(c if n % modulus == a else 0
-                         for n, c in enumerate(g.coeffs)))
+    out = [0] * g.precision
+    out[a::modulus] = g.nums[a::modulus]
+    return QSeries._trusted(g.ring, out, g.den)
 
 
 def check_odd_prime(ell: int) -> None:
@@ -142,17 +140,16 @@ def hecke_t(g: QSeries, ell: int, k: int) -> QSeries:
     if m is not None:
         mid_scale %= m
         top_scale %= m
-    out = []
+    c = g.nums
+    out = list(c[::ell2])
     for n in range(out_prec):
-        val = g.coeffs[n * ell2]
         if mid_scale:
             kr = kronecker(sign * n, ell)
             if kr:
-                val = val + kr * mid_scale * g.coeffs[n]
+                out[n] += kr * mid_scale * c[n]
         if top_scale and n % ell2 == 0:
-            val = val + top_scale * g.coeffs[n // ell2]
-        out.append(val if m is None else val % m)
-    return QSeries(g.ring, tuple(out))
+            out[n] += top_scale * c[n // ell2]
+    return QSeries.from_row(g.ring, out, g.den)
 
 
 def m_of(t: int) -> int:
@@ -176,31 +173,37 @@ def dilate4(g: QSeries, precision: int) -> QSeries:
     return v_op(g, 4).truncate(precision)
 
 
-def r_monomial(t: int, precision: int) -> QSeries:
-    """E_4^(floor(t/4) - m) E_6^m with m = m_of(t): R_t before V_4."""
+def r_monomial(t: int, precision: int, ring: RingTag = RATIONAL) -> QSeries:
+    """E_4^(floor(t/4) - m) E_6^m with m = m_of(t): R_t before V_4, over
+    `ring`.  Over Z/m the factors are reduced before the powers: reduction
+    mod m is a ring homomorphism on m-integral series."""
     e6_pow = m_of(t)
     e4_pow = t // 4 - e6_pow
+    if e4_pow < 0:
+        raise ValueError("t = %d has no nonnegative monomial exponents" % t)
     acc = None
     for weight, e in ((4, e4_pow), (6, e6_pow)):
         if e:
-            piece = eisenstein(weight, precision).series ** e
+            piece = eisenstein(weight, precision).series
+            if ring.modulus is not None:
+                piece = piece.reduce_mod(ring.modulus)
+            piece = piece ** e
             acc = piece if acc is None else acc * piece
-    return QSeries.one(RATIONAL, precision) if acc is None else acc
+    return QSeries.one(ring, precision) if acc is None else acc
 
 
-def _r_series(t: int, precision: int) -> QSeries:
-    return dilate4(r_monomial(t, v4_precision(precision)), precision)
+def r_series(t: int, precision: int, ring: RingTag = RATIONAL) -> QSeries:
+    """The q-expansion of r_t(t) to `precision` coefficients over `ring`,
+    built without the cache."""
+    return dilate4(r_monomial(t, v4_precision(precision), ring), precision)
 
 
 def r_t(t: int, precision: int) -> Form:
     """The weight-t monomial E_4(4z)^(floor(t/4) - m) E_6(4z)^m with
     m = (t - 4 floor(t/4))/2; identically 1 mod 3 for every valid even t.
     t = 2 is rejected: no monomial in E_4, E_6 has weight 2."""
-    if t < 0 or t % 2:
-        raise ValueError("t must be a nonnegative even integer")
-    if t // 4 - m_of(t) < 0:
-        raise ValueError("t = %d has no nonnegative monomial exponents" % t)
-    series = _cache.series_at(("r_t", t), precision, lambda p: _r_series(t, p))
+    series = _cache.series_at(("r_t", t), precision,
+                              lambda p: r_series(t, p))
     return Form(series, FormMeta(2 * t, 4))
 
 

@@ -1,23 +1,22 @@
 """Exact truncated power series in q.
 
-Coefficients live over one of two rings: arbitrary-precision rationals
-(``fractions.Fraction``, always in lowest terms) or integers modulo m.
-Storage is dense: index n holds the coefficient of q^n, and the length of
-the coefficient tuple is the precision P (exponents 0..P-1 are known).
+A series is one dense integer row `nums` over one positive denominator
+`den`: index n holds the numerator of the coefficient of q^n, and the row's
+length is the precision P (exponents 0..P-1 are known).  Over Q the row is
+in lowest terms, gcd(den, *nums) = 1, so equal series have equal rows; over
+Z/m it holds residues in [0, m) over den = 1.  `coeffs` is the read view:
+Fractions over Q, residues over Z/m.  Values are immutable, and precision
+propagates as the minimum across operands.
 
-Every value is immutable, every operation is a pure function, and precision
-propagates as the minimum across operands, so a result is never silently
-pretending to know more coefficients than its inputs supplied.
-
-Products have one exact kernel.  Over Q (integer series included) each
-operand's denominators are cleared by their lcm, the two integer rows are
-multiplied once by Kronecker substitution (each row packed into one big
-integer, one digit per coefficient, wide enough that no digit of the
-product overflows), and the first P digits are divided by the product of
-the two lcms.  Over Z/m the residue rows take the same big-integer route
-and the product is reduced mod m, so it is exact for every modulus.  The
-results are identical to the schoolbook double loop, which the tests keep
-as the oracle.
+Operations touch only integers.  A sum brings both rows to the lcm of the
+denominators, a scaling multiplies row and denominator, and one gcd brings a
+result back to lowest terms.  A product multiplies the two integer rows once
+by Kronecker substitution (each row packed into one big integer, one digit
+per coefficient, wide enough that no digit of the product overflows), over
+the product of the denominators, or reduced mod m; it equals the schoolbook
+double loop, which the tests keep as the oracle.  A lowest-terms row is
+m-integral exactly when gcd(den, m) = 1, so reduce_mod is one gcd and one
+inverse; only a failing check scans for the first offending exponent.
 """
 
 from __future__ import annotations
@@ -99,17 +98,11 @@ def _pack(row: list[int], width: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-def _cleared(row, denominator: int) -> list[int]:
-    """Numerators of a Fraction row over the common `denominator`."""
-    return [c.numerator * (denominator // c.denominator) for c in row]
-
-
 def _coerce(ring: RingTag, value):
+    """A scalar in normal form: int or Fraction over Q, residue over Z/m."""
     if ring.modulus is None:
-        if isinstance(value, Fraction):
+        if isinstance(value, (int, Fraction)):
             return value
-        if isinstance(value, int):
-            return Fraction(value)
         raise RingMismatchError("not a rational coefficient: %r" % (value,))
     if isinstance(value, Fraction):
         if value.denominator != 1:
@@ -122,64 +115,97 @@ def _coerce(ring: RingTag, value):
     return value % ring.modulus
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QSeries:
-    """A truncated q-expansion sum(coeffs[n] * q^n, 0 <= n < precision)."""
+    """A truncated q-expansion sum(nums[n] / den * q^n, 0 <= n < precision).
+
+    QSeries(ring, coeffs) takes ints, and Fractions over Q; from_row takes
+    an integer row over a denominator."""
 
     ring: RingTag
-    coeffs: tuple
+    nums: tuple
+    den: int
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", tuple(_coerce(self.ring, c) for c in self.coeffs)
-        )
-        if len(self.coeffs) == 0:
+    def __init__(self, ring: RingTag, coeffs):
+        object.__setattr__(self, "ring", ring)
+        self.__post_init__(coeffs)
+
+    def __post_init__(self, coeffs):
+        coeffs, den = [_coerce(self.ring, c) for c in coeffs], 1
+        if self.ring.modulus is None:
+            den = lcm(*(c.denominator for c in coeffs))
+            coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
+        self._store(coeffs, den)
+
+    def _store(self, nums, den: int) -> "QSeries":
+        """Set the row over den in lowest terms (residues over 1 for Z/m)."""
+        if not nums:
             raise ValueError("a series needs at least one known coefficient")
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                nums, den = [c // g for c in nums], den // g
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
+        return self
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _trusted(cls, ring: RingTag, coeffs: tuple) -> "QSeries":
-        """Wrap a nonempty tuple already in normal form (Fractions over Q,
-        residues in [0, m) over Z/m) without coercing it again."""
+    def _trusted(cls, ring: RingTag, nums, den: int = 1) -> "QSeries":
         series = object.__new__(cls)
         object.__setattr__(series, "ring", ring)
-        object.__setattr__(series, "coeffs", coeffs)
-        return series
+        return series._store(nums, den)
+
+    @classmethod
+    def from_row(cls, ring: RingTag, nums, den: int = 1) -> "QSeries":
+        """sum(nums[n] / den * q^n) for an integer row, in lowest terms over
+        Q; over Z/m the row is reduced mod m and den must be 1."""
+        m = ring.modulus
+        if den < 1 or (m is not None and den != 1):
+            raise ValueError("denominator %d for a %s series"
+                             % (den, ring.label()))
+        return cls._trusted(ring, nums if m is None else [c % m for c in nums],
+                            den)
 
     @classmethod
     def rational(cls, coeffs) -> "QSeries":
-        return cls(RATIONAL, tuple(coeffs))
+        return cls(RATIONAL, coeffs)
 
     @classmethod
     def modular(cls, m: int, coeffs) -> "QSeries":
-        return cls(RingTag(m), tuple(coeffs))
+        return cls(RingTag(m), coeffs)
 
     @classmethod
     def one(cls, ring: RingTag, precision: int) -> "QSeries":
-        return cls(ring, (1,) + (0,) * (precision - 1))
+        return cls.from_row(ring, (1,) + (0,) * (precision - 1))
 
     @classmethod
     def zero(cls, ring: RingTag, precision: int) -> "QSeries":
-        return cls(ring, (0,) * precision)
+        return cls.from_row(ring, (0,) * precision)
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def precision(self) -> int:
-        return len(self.coeffs)
+        return len(self.nums)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients: Fractions over Q, residues over Z/m."""
+        if self.ring.modulus is not None:
+            return self.nums
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     def coefficient(self, n: int):
         if not 0 <= n < self.precision:
             raise IndexError("coefficient of q^%d unknown at precision %d"
                              % (n, self.precision))
-        return self.coeffs[n]
+        c = self.nums[n]
+        return c if self.ring.modulus is not None else Fraction(c, self.den)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def support(self):
-        return tuple(n for n, c in enumerate(self.coeffs) if c)
+        return not any(self.nums)
 
     # -- ring operations ---------------------------------------------------
 
@@ -191,45 +217,43 @@ class QSeries:
 
     def __add__(self, other: "QSeries") -> "QSeries":
         self._same_ring(other)
-        n = min(self.precision, other.precision)
-        return QSeries(self.ring,
-                       tuple(a + b for a, b in zip(self.coeffs[:n], other.coeffs[:n])))
+        m = self.ring.modulus
+        if m is not None:
+            return QSeries._trusted(self.ring, [
+                (a + b) % m for a, b in zip(self.nums, other.nums)])
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        return QSeries._trusted(self.ring, [
+            a * fa + b * fb for a, b in zip(self.nums, other.nums)], den)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
-        self._same_ring(other)
-        n = min(self.precision, other.precision)
-        return QSeries(self.ring,
-                       tuple(a - b for a, b in zip(self.coeffs[:n], other.coeffs[:n])))
+        return self + -other
 
     def __neg__(self) -> "QSeries":
-        return QSeries(self.ring, tuple(-c for c in self.coeffs))
+        return self.scale(-1)
 
     def __mul__(self, other):
-        if isinstance(other, QSeries):
-            self._same_ring(other)
-            return self._cauchy(other)
-        return self.scale(other)
+        if not isinstance(other, QSeries):
+            return self.scale(other)
+        self._same_ring(other)
+        n = min(self.precision, other.precision)
+        row = _kronecker(self.nums[:n], other.nums[:n])
+        m = self.ring.modulus
+        if m is not None:
+            return QSeries._trusted(self.ring, [c % m for c in row])
+        return QSeries._trusted(self.ring, row, self.den * other.den)
 
     def __rmul__(self, other):
         return self.scale(other)
 
-    def _cauchy(self, other: "QSeries") -> "QSeries":
-        n = min(self.precision, other.precision)
-        a, b = self.coeffs[:n], other.coeffs[:n]
-        m = self.ring.modulus
-        if m is None:
-            la = lcm(*(c.denominator for c in a))
-            lb = lcm(*(c.denominator for c in b))
-            den = la * lb
-            out = tuple(Fraction(c, den) for c in
-                        _kronecker(_cleared(a, la), _cleared(b, lb)))
-        else:
-            out = tuple(c % m for c in _kronecker(list(a), list(b)))
-        return QSeries._trusted(self.ring, out)
-
     def scale(self, c) -> "QSeries":
         c = _coerce(self.ring, c)
-        return QSeries(self.ring, tuple(c * x for x in self.coeffs))
+        m = self.ring.modulus
+        if m is not None:
+            return QSeries._trusted(self.ring, [c * x % m for x in self.nums])
+        num = c.numerator
+        return QSeries._trusted(self.ring, [num * x for x in self.nums],
+                                self.den * c.denominator)
 
     def __pow__(self, e: int) -> "QSeries":
         if not isinstance(e, int) or e < 0:
@@ -246,29 +270,29 @@ class QSeries:
             base = base * base
 
     def reduce_mod(self, m: int) -> "QSeries":
-        """Map each p/q to p * q^(-1) mod m; fails on non-m-integral input."""
+        """Map each p/q to p * q^(-1) mod m; fails on non-m-integral input,
+        which for a lowest-terms row means gcd(den, m) != 1."""
         if not self.ring.is_rational:
             raise RingMismatchError("reduce_mod expects a rational series")
         if m < 2:
             raise ValueError("modulus must be >= 2")
-        out = []
-        for n, c in enumerate(self.coeffs):
-            den = c.denominator
-            if gcd(den, m) != 1:
-                raise NonIntegralCoefficientError(n, c, m)
-            out.append(c.numerator * pow(den, -1, m) % m)
-        return QSeries(RingTag(m), tuple(out))
+        den = self.den
+        if gcd(den, m) != 1:
+            n = next(n for n, c in enumerate(self.nums)
+                     if gcd(den // gcd(den, c), m) != 1)
+            raise NonIntegralCoefficientError(n, self.coefficient(n), m)
+        inv = pow(den, -1, m)
+        return QSeries._trusted(RingTag(m), [c * inv % m for c in self.nums])
 
     def primitive(self) -> "QSeries":
         """Scale a rational series to integer coefficients with content 1
         (the canonical integral normalization; zero stays zero)."""
         if not self.ring.is_rational:
             raise RingMismatchError("primitive() expects a rational series")
-        den = lcm(*(c.denominator for c in self.coeffs))
-        content = gcd(*_cleared(self.coeffs, den))
+        content = gcd(*self.nums)
         if content == 0:
             return self
-        return self.scale(Fraction(den, content))
+        return QSeries._trusted(self.ring, [c // content for c in self.nums])
 
     def truncate(self, precision: int) -> "QSeries":
         if precision < 1:
@@ -278,7 +302,7 @@ class QSeries:
                              % (self.precision, precision))
         if precision == self.precision:
             return self
-        return QSeries._trusted(self.ring, self.coeffs[:precision])
+        return QSeries._trusted(self.ring, self.nums[:precision], self.den)
 
     # -- rendering ---------------------------------------------------------
 

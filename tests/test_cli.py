@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -361,3 +362,35 @@ class TestDefaultVerifyPrecision:
         assert code == 2
         bound = json.loads(out)["required"]
         assert max(requested) == -(-bound * 6 // 5)
+
+
+class TestVerifyCostGuard:
+    @pytest.mark.parametrize("argv, needed", [
+        (["psi:1000000"], 129600066),
+        (["ut:101"], 101 * 101 * 100),
+        (["rt", "--prec", "1000001"], 1000001),
+        (["cong", "--prec", "2000000"], 2000000),
+        (["remark3", "--prec", "1000001"], 1000001),
+    ])
+    def test_refuses_a_build_above_the_ceiling(self, capsys, argv, needed):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 64 and out == ""
+        assert argv[0] in err and str(needed) in err and "--prec" in err
+
+    def test_ut_is_refused_before_building(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built a series for a refused target")
+
+        monkeypatch.setattr(cli, "theta", refuse)
+        monkeypatch.setattr(cli, "cohen_series", refuse)
+        code, _, err = run(capsys, "verify", "ut:101")
+        assert code == 64 and "1020100" in err
+
+    def test_the_ceiling_applies_after_the_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "VERIFY_CEILING", 100)
+        assert run(capsys, "verify", "rt", "--prec", "100")[0] == 0
+        assert run(capsys, "verify", "rt", "--prec", "101")[0] == 64
+        monkeypatch.setenv("PLUSFORMS_PREC_CAP", "100")
+        assert run(capsys, "verify", "rt", "--prec", "101")[0] == 0

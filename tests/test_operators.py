@@ -17,13 +17,14 @@ from plusforms.operators import (
     level_after_u,
     level_after_v,
     m_of,
+    r_series,
     r_t,
     twist,
     u_op,
     v_op,
     w2_bridge,
 )
-from plusforms.qseries import QSeries
+from plusforms.qseries import QSeries, RingTag
 
 
 def q(*coeffs):
@@ -195,6 +196,18 @@ class TestRt:
 
     def test_weights(self):
         assert r_t(8, 4).meta.twice_weight == 16
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 541, 1351])
+    def test_built_mod_three_is_the_reduction_of_the_rational_row(self, p):
+        for t in range(0, 47, 2):
+            if t == 2:
+                continue
+            assert r_series(t, p, RingTag(3)) == \
+                r_t(t, p).series.reduce_mod(3), t
+
+    def test_built_mod_m_rejects_t2(self):
+        with pytest.raises(ValueError):
+            r_series(2, 10, RingTag(3))
 
     def test_w2_bridge(self):
         w = w2_bridge(50)
