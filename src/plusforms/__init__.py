@@ -18,8 +18,8 @@ from .level_one_forms import (  # noqa: F401
     dim_s,
     eisenstein,
     mk_basis,
-    sigma,
 )
+from .arith import kronecker, sigma  # noqa: F401
 from .class_numbers import (  # noqa: F401
     Discriminant,
     NonNegativeInputError,
@@ -29,7 +29,6 @@ from .class_numbers import (  # noqa: F401
     gen_bernoulli,
     hurwitz,
     is_fundamental,
-    kronecker,
 )
 from .cohen_eisenstein import (  # noqa: F401
     PlusConditionError,

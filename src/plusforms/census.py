@@ -1,25 +1,28 @@
 """Discriminant sieves and density censuses.
 
-The census takes fundamental discriminants from numpy sieves and its class
-numbers h(-D) from class_numbers.class_number_table, one table per class
-of FIELD_CLASSES.  Each field discriminant -4D, -D or -D/4 of a census D
-(D = 1 mod 3) lies in exactly one of them: 4D = 4 mod 48 up to 4x for
-D = 1 mod 4, D = 40 mod 48 up to x for D = 8 mod 16, and D/4 = 7 mod 12
-up to x/4 for D = 12 mod 16.  The tables hold about x/8 entries together.
+The census takes fundamental discriminants from strided slices of
+arith.squarefree_flags and its class numbers h(-D) from
+class_numbers.class_number_table, one table per class of FIELD_CLASSES.
+Each field discriminant -4D, -D or -D/4 of a census D (D = 1 mod 3) lies
+in exactly one of them: 4D = 4 mod 48 up to 4x for D = 1 mod 4,
+D = 40 mod 48 up to x for D = 8 mod 16, and D/4 = 7 mod 12 up to x/4 for
+D = 12 mod 16.  The tables hold about x/8 entries together.
 
-numpy is imported inside the functions that build arrays (the sieves and
-the population), not at module import: the module loads with plusforms,
-and a process that never runs a census should not pay for numpy.
+numpy is imported inside the functions that build arrays (the masks, the
+population and the squarefree sieve), not at module import: the module
+loads with plusforms, and a process that never runs a census should not
+pay for numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import TYPE_CHECKING
 
-from .class_numbers import _factorize, class_number_table
+from .arith import factorize, squarefree_flags
+from .class_numbers import class_number_table
 
 if TYPE_CHECKING:
     import numpy as np
@@ -47,7 +50,7 @@ def starstar_ok(m: int, n: int) -> bool:
     if m < 1 or n < 1:
         raise ValueError("m and N must be positive")
     g = gcd(m, n)
-    for p, _ in _factorize(g):
+    for p, _ in factorize(g):
         if p % 2 and m % (p * p) == 0:
             return False
     if n % 2 == 0:
@@ -59,22 +62,12 @@ def starstar_ok(m: int, n: int) -> bool:
     return True
 
 
-def _squarefree_flags(limit: int) -> np.ndarray:
-    import numpy as np
-
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[0] = False
-    for p in range(2, isqrt(limit) + 1):
-        flags[p * p::p * p] = False
-    return flags
-
-
 def _fundamental_mask(x: int, sign: int) -> np.ndarray:
     # mask[j] for D = sign * j: D = 1 mod 4 squarefree, or D = 4m with
     # m = 2, 3 mod 4 squarefree; strided slices, no index temporaries
     import numpy as np
 
-    sf = _squarefree_flags(x)
+    sf = squarefree_flags(x)
     mask = np.zeros(x, dtype=bool)
     odd = sign % 4
     mask[odd::4] = sf[odd:x:4]

@@ -1,4 +1,4 @@
-"""Kronecker symbols, fundamental discriminants, and class numbers.
+"""Fundamental discriminants, class numbers and Hurwitz numbers.
 
 One batch engine, _count_forms, walks once over every pair (a, beta) that
 has a reduced form (a, +-beta, c) in the class, that is every root of
@@ -16,8 +16,8 @@ bit-identical for any worker count.
 form_class_number and hurwitz_weighted_form_count enumerate the reduced
 forms of one discriminant at a time; they are the oracles the tests hold
 the engine against, and class_number_of_field reads form_class_number.
-Generalized Bernoulli numbers give an independent route to h through
-h(D) = -B_{1,chi_D}.
+Generalized Bernoulli numbers, over the rows of arith.kronecker_row, give
+an independent route to h through h(D) = -B_{1,chi_D}.
 
 numpy is imported inside _count_forms, where the count array is built, and
 nowhere else, so only class_number_table, hurwitz_numbers and hurwitz load
@@ -32,6 +32,8 @@ from functools import lru_cache, partial
 from math import comb, gcd, isqrt, lcm
 from typing import TYPE_CHECKING
 
+from .arith import fundamental_part, is_prime, kronecker_row
+from .arith import kronecker  # noqa: F401 (re-exported)
 from .level_one_forms import bernoulli
 
 if TYPE_CHECKING:
@@ -42,102 +44,11 @@ class NonNegativeInputError(ValueError):
     """An imaginary-quadratic routine was fed a nonnegative value."""
 
 
-_KRON2 = {0: 0, 1: 1, 2: 0, 3: -1, 4: 0, 5: -1, 6: 0, 7: 1}
-
-
-def kronecker(d: int, n: int) -> int:
-    """Kronecker symbol (d/n), with the standard conventions at 2, 0, -1."""
-    if n == 0:
-        return 1 if d in (1, -1) else 0
-    if d % 2 == 0 and n % 2 == 0:
-        return 0
-    k = 1
-    v = 0
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    if v % 2 == 1:
-        k = _KRON2[d % 8]
-    if n < 0:
-        n = -n
-        if d < 0:
-            k = -k
-    # Jacobi-style reciprocity loop on odd positive n
-    a = d % n
-    while a:
-        v = 0
-        while a % 2 == 0:
-            a //= 2
-            v += 1
-        if v % 2 == 1 and n % 8 in (3, 5):
-            k = -k
-        if a % 4 == 3 and n % 4 == 3:
-            k = -k
-        a, n = n % a, a
-    return k if n == 1 else 0
-
-
-def _factorize(n: int) -> list[tuple[int, int]]:
-    if n < 1:
-        raise ValueError("factorize expects a positive integer")
-    out = []
-    for p in (2, 3):
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-    p = 5
-    step = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        p += step
-        step = 6 - step  # wheel over 6k +- 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
-@lru_cache(maxsize=4096)
-def _mobius_divisors(n: int) -> tuple[tuple[int, int], ...]:
-    """(e, mu(e)) over the squarefree divisors e of n."""
-    out = [(1, 1)]
-    for p, _ in _factorize(n):
-        out += [(e * p, -mu) for e, mu in out]
-    return tuple(out)
-
-
-def squarefree_kernel(n: int) -> int:
-    """The squarefree part of n, carrying n's sign."""
-    if n == 0:
-        raise ValueError("0 has no squarefree kernel")
-    kernel = 1
-    for p, e in _factorize(abs(n)):
-        if e % 2:
-            kernel *= p
-    return kernel if n > 0 else -kernel
-
-
-def is_squarefree(n: int) -> bool:
-    return abs(squarefree_kernel(n)) == abs(n)
-
-
 def is_fundamental(d: int) -> bool:
     """True iff d = 1 or d is the discriminant of a quadratic field."""
     if d == 0:
         raise ValueError("0 is not a discriminant")
-    if d % 4 == 1:
-        return is_squarefree(d)
-    if d % 4 == 0:
-        m = d // 4
-        return m % 4 in (2, 3) and is_squarefree(m)
-    return False
+    return fundamental_part(d) == d
 
 
 @dataclass(frozen=True)
@@ -146,8 +57,6 @@ class Discriminant:
     is_fundamental: bool
 
     def __post_init__(self):
-        if self.value == 0:
-            raise ValueError("0 is not a discriminant")
         if self.is_fundamental != is_fundamental(self.value):
             raise ValueError("inconsistent fundamentality flag for %d" % self.value)
 
@@ -188,8 +97,7 @@ def field_discriminant(d: int) -> int:
     """Discriminant of the imaginary quadratic field Q(sqrt(d)), d < 0."""
     if d >= 0:
         raise NonNegativeInputError("expected a negative integer")
-    d0 = squarefree_kernel(d)
-    return d0 if d0 % 4 == 1 else 4 * d0
+    return fundamental_part(d)
 
 
 def class_number_of_field(d: int) -> int:
@@ -198,29 +106,6 @@ def class_number_of_field(d: int) -> int:
 
 
 # -- generalized Bernoulli numbers ----------------------------------------
-
-def _chi_row(d: int, f: int) -> list[int]:
-    # chi_d(a) for a = 0..f-1 via complete multiplicativity, over one prime
-    # factor per a sieved on each call: cheaper than gen_bernoulli's O(f r)
-    # Horner loop over the row, and no table outlives the call
-    if f == 1:
-        return [1]
-    factor = list(range(f))
-    for p in range(2, isqrt(f - 1) + 1):
-        if factor[p] == p:
-            factor[p * p::p] = [p] * ((f - 1 - p * p) // p + 1)
-    row = [0] * f
-    row[1] = 1
-    chi_p = {}
-    for a in range(2, f):
-        p = factor[a]
-        v = chi_p.get(p)
-        if v is None:
-            v = kronecker(d, p)
-            chi_p[p] = v
-        row[a] = row[a // p] * v
-    return row
-
 
 def gen_bernoulli(r: int, d: int) -> Fraction:
     """Generalized Bernoulli number B_{r, chi_d} for fundamental d.
@@ -238,7 +123,7 @@ def gen_bernoulli(r: int, d: int) -> Fraction:
     den = lcm(*(c.denominator for c in binom_bern))
     # f^r * B_r(a/f) = (1/L) * sum_j (L*C(r,j)*B_j*f^j) * a^(r-j), L = den
     poly = [int(c * den) * f ** j for j, c in enumerate(binom_bern)]
-    chi = _chi_row(d, f) if f > 1 else [1]
+    chi = kronecker_row(d, f)
     total = 0
     for a in range(1, f + 1):
         ca = chi[a % f]
@@ -323,7 +208,7 @@ def class_number_table(limit: int, workers: int = 1, modulus: int = 1,
     # N(d) - N(d / p^2) per prime p; p^2 = 1 mod modulus for p prime to it,
     # so d / p^2 lies in the class of d
     for p in range(2, isqrt(limit // first) + 1):
-        if modulus % p == 0 or _factorize(p) != [(p, 1)]:
+        if modulus % p == 0 or not is_prime(p):
             continue
         n = (limit // (p * p) - first) // modulus + 1
         start = (p * p - 1) * first // modulus

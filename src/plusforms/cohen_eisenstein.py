@@ -33,22 +33,15 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from . import _cache
-from .class_numbers import (
-    _mobius_divisors,
-    gen_bernoulli,
-    hurwitz,
-    hurwitz_numbers,
+from .arith import (
+    fundamental_part,
     kronecker,
-    squarefree_kernel,
-)
-from .level_one_forms import (
-    Form,
-    FormMeta,
-    _sigma_table,
-    bernoulli,
-    dim_s,
+    mobius_divisors,
     sigma,
+    sigma_table,
 )
+from .class_numbers import gen_bernoulli, hurwitz, hurwitz_numbers
+from .level_one_forms import Form, FormMeta, bernoulli, dim_s
 from .operators import dilate4, v4_precision
 from .qseries import QSeries, RATIONAL, _kronecker
 
@@ -96,16 +89,6 @@ class PlusForm:
             )
 
 
-def _fundamental_decomposition(n0: int) -> tuple[int, int]:
-    # n0 = D * f^2 with D fundamental; requires n0 = 0, 1 mod 4
-    d0 = squarefree_kernel(n0)
-    d = d0 if d0 % 4 == 1 else 4 * d0
-    f2 = n0 // d
-    f = isqrt(f2)
-    assert f * f == f2, "input was not 0 or 1 mod 4"
-    return d, f
-
-
 @lru_cache(maxsize=4096)
 def _l_value(r: int, d: int) -> Fraction:
     # L(1 - r, chi_d) = -B_{r, chi_d} / r
@@ -129,9 +112,11 @@ def cohen_h(r: int, n: int) -> Fraction:
     n0 = n if r % 2 == 0 else -n
     if n0 % 4 in (2, 3):
         return Fraction(0)
-    d, f = _fundamental_decomposition(n0)
+    d = fundamental_part(n0)
+    f = isqrt(n0 // d)
+    assert f * f * d == n0, "n0 = 0, 1 mod 4 makes n0 / d a square"
     acc = Fraction(0)
-    for div, mu in _mobius_divisors(f):
+    for div, mu in mobius_divisors(f):
         acc += mu * kronecker(d, div) * div ** (r - 1) * sigma(2 * r - 1, f // div)
     return _l_value(r, d) * acc
 
@@ -157,7 +142,7 @@ def _graded_rows(k: int, precision: int) -> list[list[int]]:
     leads = [th if eps == 1 else _kronecker(th2, th)]
     for _ in range(top):
         leads.append(_kronecker(leads[-1], th4))
-    f2 = [s if n % 2 else 0 for n, s in enumerate(_sigma_table(1, precision))]
+    f2 = [s if n % 2 else 0 for n, s in enumerate(sigma_table(1, precision))]
     powers = [f2]
     for _ in range(top - 1):
         powers.append(_kronecker(powers[-1], f2))
@@ -285,6 +270,8 @@ def cohen_series(r: int, precision: int) -> PlusForm:
 
 def theta(precision: int) -> Form:
     """1 + 2 sum(q^(n^2)), weight 1/2 on level 4."""
+    if precision < 1:
+        raise ValueError("precision must be positive")
     return Form(QSeries.from_row(RATIONAL, _theta_row(precision)),
                 FormMeta(1, 4))
 

@@ -31,11 +31,11 @@ from dataclasses import dataclass
 from functools import partial
 from math import gcd, lcm
 
-from .class_numbers import _factorize
+from .arith import factorize
 from .cohen_eisenstein import theta
 from .constructions import NamedForm
 from .level_one_forms import FormMeta
-from .operators import r_series
+from .operators import r_t
 from .qseries import QSeries
 
 
@@ -52,7 +52,7 @@ def index_gamma0(level: int) -> int:
     if level < 1:
         raise ValueError("level must be >= 1")
     idx = level
-    for p, _ in _factorize(level):
+    for p, _ in factorize(level):
         idx = idx // p * (p + 1)
     return idx
 
@@ -117,7 +117,7 @@ def _integral_pair(plan: SturmPlan, lhs: QSeries,
         sides = [lhs * lhs, rhs * rhs]
     for i, weight in enumerate(plan.r_weights):
         if weight:
-            sides[i] = sides[i] * r_series(weight, precision, ring)
+            sides[i] = sides[i] * r_t(weight, precision, ring).series
     return sides[0], sides[1]
 
 

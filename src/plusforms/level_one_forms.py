@@ -1,17 +1,19 @@
 """Classical level-one modular forms as exact q-expansions.
 
-Bernoulli numbers, divisor sums, the normalized Eisenstein series E_4 and
-E_6, the discriminant cusp form Delta (computed as an eta product, with the
-(E_4^3 - E_6^2)/1728 identity kept around as an independent cross-check),
-monomial bases of M_k, and the dimension of level-one cusp spaces.
+Bernoulli numbers, the normalized Eisenstein series E_4 and E_6 (their
+divisor sums from arith.sigma_table), the discriminant cusp form Delta
+(computed as an eta product, with the (E_4^3 - E_6^2)/1728 identity kept
+around as an independent cross-check), monomial bases of M_k, and the
+dimension of level-one cusp spaces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb
 
+from .arith import sigma_table
 from .qseries import QSeries, RATIONAL
 
 
@@ -67,30 +69,6 @@ def bernoulli(n: int) -> Fraction:
     return _bernoulli_cache[n]
 
 
-def sigma(e: int, n: int) -> int:
-    """Divisor power sum: sum of d^e over divisors d of n."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    total = 0
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            total += d ** e
-            other = n // d
-            if other != d:
-                total += other ** e
-    return total
-
-
-def _sigma_table(e: int, precision: int) -> list[int]:
-    # sieve-style: cost O(P log P), used by eisenstein() at large precision
-    table = [0] * precision
-    for d in range(1, precision):
-        de = d ** e
-        for n in range(d, precision, d):
-            table[n] += de
-    return table
-
-
 def eisenstein(weight: int, precision: int) -> Form:
     """Normalized Eisenstein series of even weight >= 4 at level one.
 
@@ -99,9 +77,11 @@ def eisenstein(weight: int, precision: int) -> Form:
     """
     if weight < 4 or weight % 2:
         raise ValueError("weight must be an even integer >= 4")
+    if precision < 1:
+        raise ValueError("precision must be positive")
     factor = Fraction(-2 * weight) / bernoulli(weight)
     num, den = factor.numerator, factor.denominator
-    table = _sigma_table(weight - 1, precision)
+    table = sigma_table(weight - 1, precision)
     row = [den] + [num * s for s in table[1:]]
     return Form(QSeries.from_row(RATIONAL, row, den), FormMeta(2 * weight, 1))
 

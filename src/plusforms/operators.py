@@ -17,8 +17,8 @@ from itertools import cycle
 from math import lcm
 
 from . import _cache
-from .class_numbers import _factorize, kronecker
-from .level_one_forms import Form, FormMeta, _sigma_table, eisenstein
+from .arith import is_prime, kronecker, kronecker_row, sigma_table
+from .level_one_forms import Form, FormMeta, eisenstein
 from .qseries import QSeries, RATIONAL, RingTag
 
 
@@ -54,8 +54,7 @@ class Character:
 
     @classmethod
     def kronecker(cls, d: int) -> "Character":
-        m = abs(d)
-        return cls(m, tuple(kronecker(d, n) for n in range(m)),
+        return cls(abs(d), tuple(kronecker_row(d, abs(d))),
                    "kronecker(%d)" % d)
 
     @classmethod
@@ -117,7 +116,7 @@ def ap_project(g: QSeries, a: int, modulus: int) -> QSeries:
 
 def check_odd_prime(ell: int) -> None:
     """Raise NotOddPrimeError unless ell is an odd prime."""
-    if ell < 3 or _factorize(ell) != [(ell, 1)]:
+    if ell < 3 or not is_prime(ell):
         raise NotOddPrimeError("%r is not an odd prime" % (ell,))
 
 
@@ -192,18 +191,13 @@ def r_monomial(t: int, precision: int, ring: RingTag = RATIONAL) -> QSeries:
     return QSeries.one(ring, precision) if acc is None else acc
 
 
-def r_series(t: int, precision: int, ring: RingTag = RATIONAL) -> QSeries:
-    """The q-expansion of r_t(t) to `precision` coefficients over `ring`,
-    built without the cache."""
-    return dilate4(r_monomial(t, v4_precision(precision), ring), precision)
-
-
-def r_t(t: int, precision: int) -> Form:
+def r_t(t: int, precision: int, ring: RingTag = RATIONAL) -> Form:
     """The weight-t monomial E_4(4z)^(floor(t/4) - m) E_6(4z)^m with
-    m = (t - 4 floor(t/4))/2; identically 1 mod 3 for every valid even t.
-    t = 2 is rejected: no monomial in E_4, E_6 has weight 2."""
-    series = _cache.series_at(("r_t", t), precision,
-                              lambda p: r_series(t, p))
+    m = (t - 4 floor(t/4))/2 over `ring`; identically 1 mod 3 for every
+    valid even t.  t = 2 is rejected: no monomial in E_4, E_6 has weight 2."""
+    series = _cache.series_at(
+        ("r_t", t, ring), precision,
+        lambda p: dilate4(r_monomial(t, v4_precision(p), ring), p))
     return Form(series, FormMeta(2 * t, 4))
 
 
@@ -211,7 +205,7 @@ def e2_level_two(precision: int) -> QSeries:
     """2 E_2(2z) - E_2(z) = 1 + 24 sum((sigma_1(n) - 2 sigma_1(n/2)) q^n),
     the weight-2 bridge before V_4; every nonconstant coefficient is a
     multiple of 24."""
-    sigma1 = _sigma_table(1, precision)
+    sigma1 = sigma_table(1, precision)
     coeffs = [24 * (s - (0 if n % 2 else 2 * sigma1[n // 2]))
               for n, s in enumerate(sigma1)]
     coeffs[0] = 1

@@ -178,6 +178,8 @@ class QSeries:
 
     @classmethod
     def one(cls, ring: RingTag, precision: int) -> "QSeries":
+        if precision < 1:
+            raise ValueError("a series needs at least one known coefficient")
         return cls.from_row(ring, (1,) + (0,) * (precision - 1))
 
     @classmethod

@@ -6,24 +6,20 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import divisor_sigma, divisors, factorint, mobius
+from sympy import divisor_sigma, divisors, factorint, isprime, mobius
 
-from plusforms.class_numbers import _chi_row as kronecker_row
-from plusforms.class_numbers import _factorize as factorize
-from plusforms.class_numbers import _mobius_divisors as mobius_divisors
-from plusforms.class_numbers import (
-    field_discriminant,
-    is_fundamental,
+from plusforms.arith import (
+    factorize,
+    fundamental_part,
+    is_prime,
     kronecker,
+    kronecker_row,
+    mobius_divisors,
+    sigma,
+    squarefree_flags,
     squarefree_kernel,
 )
-from plusforms.census import _squarefree_flags as squarefree_flags
-from plusforms.cohen_eisenstein import _fundamental_decomposition
-from plusforms.level_one_forms import sigma
-
-
-def fundamental_part(n):
-    return _fundamental_decomposition(n)[0]
+from plusforms.class_numbers import field_discriminant, is_fundamental
 
 
 def trial_division_sigma(e: int, n: int) -> int:
@@ -69,7 +65,7 @@ def test_sigma_matches_the_divisor_loop_below_3000():
 @settings(max_examples=300, deadline=None)
 @given(nonzero, st.integers(1, 600))
 def test_kronecker_row_matches_kronecker(d, f):
-    assert kronecker_row(d, f)[1:] == [kronecker(d, n) for n in range(1, f)]
+    assert kronecker_row(d, f) == [kronecker(d, n) for n in range(f)]
 
 
 @settings(max_examples=50, deadline=None)
@@ -80,8 +76,30 @@ def test_squarefree_flags_match_squarefree_kernel(limit):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(-10 ** 6, -1).filter(lambda n: n % 4 in (0, 1)))
+@given(st.integers(-10 ** 6, -1))
 def test_fundamental_part_matches_field_discriminant(n):
+    assert fundamental_part(n) == field_discriminant(n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10 ** 6, 10 ** 6).filter(bool))
+def test_fundamental_part_is_a_fundamental_square_class(n):
     d = fundamental_part(n)
-    assert d == field_discriminant(n)
     assert is_fundamental(d) and isqrt(n * d) ** 2 == n * d
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-50, 10 ** 6))
+def test_is_prime_matches_sympy(n):
+    assert is_prime(n) == isprime(n)
+
+
+def test_sigma_rejects_negative_exponents():
+    with pytest.raises(ValueError):
+        sigma(-1, 6)
+
+
+@pytest.mark.parametrize("f", [0, -1])
+def test_kronecker_row_rejects_empty_rows(f):
+    with pytest.raises(ValueError, match="f >= 1"):
+        kronecker_row(-23, f)

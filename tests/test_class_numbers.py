@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import jacobi_symbol
 
-from plusforms import class_numbers, cohen_eisenstein
+from plusforms import arith, class_numbers, cohen_eisenstein
 from plusforms.class_numbers import (
     Discriminant,
     NonNegativeInputError,
@@ -116,12 +116,14 @@ class TestGenBernoulli:
         for d in list(range(-1200, 0)) + list(range(1, 1200)):
             if is_fundamental(d):
                 f = abs(d)
-                assert class_numbers._chi_row(d, f) == [
+                assert arith.kronecker_row(d, f) == [
                     kronecker(d, a) for a in range(f)], d
 
 
 def _module_tables():
-    return {name: len(value) for name, value in vars(class_numbers).items()
+    return {(module.__name__, name): len(value)
+            for module in (arith, class_numbers)
+            for name, value in vars(module).items()
             if isinstance(value, (list, dict, set, tuple))}
 
 
@@ -170,7 +172,7 @@ class TestHurwitz:
         assert hurwitz_numbers(limit, modulus, residue) == expected
 
 
-@pytest.mark.parametrize("cached", [class_numbers._mobius_divisors,
+@pytest.mark.parametrize("cached", [arith.mobius_divisors,
                                     class_numbers.form_class_number,
                                     cohen_eisenstein._l_value])
 def test_caches_are_bounded(cached):

@@ -9,6 +9,7 @@ from plusforms.cohen_eisenstein import (
     cohen_h,
     cohen_series,
     plus_isomorphism,
+    plus_space_basis,
     theta,
 )
 from plusforms.constructions import (
@@ -26,11 +27,25 @@ from plusforms.constructions import (
 )
 from plusforms.level_one_forms import delta, eisenstein
 from plusforms.operators import ap_project, r_t, twist, v_op, w2_bridge
+from plusforms.qseries import RATIONAL, QSeries
 
 DISPLAY_PHI = {4: 2, 7: 1, 19: 1, 28: 2, 40: 2, 43: 1, 52: 2, 55: 1,
                64: 2, 67: 1, 76: 1}
 DISPLAY_PSI = {8: 2, 17: 2, 20: 1, 41: 2, 44: 1, 53: 1, 56: 1, 65: 1,
                68: 2, 80: 2, 89: 2, 92: 2}
+
+
+@pytest.mark.parametrize("precision", [0, -1])
+@pytest.mark.parametrize("build", [
+    lambda p: QSeries.one(RATIONAL, p), lambda p: QSeries.zero(RATIONAL, p),
+    lambda p: eisenstein(4, p), theta, delta, lambda p: r_t(4, p),
+    lambda p: cohen_series(2, p), lambda p: phi(9, p), lambda p: psi(12, p),
+    g31, lambda p: plus_space_basis(2, p)],
+    ids=["one", "zero", "eisenstein", "theta", "delta", "r_t", "cohen_series",
+         "phi", "psi", "g31", "plus_space_basis"])
+def test_builders_reject_precision_below_one(build, precision):
+    with pytest.raises(ValueError):
+        build(precision)
 
 
 class TestPhi:

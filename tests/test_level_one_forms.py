@@ -10,8 +10,8 @@ from plusforms.level_one_forms import (
     dim_s,
     eisenstein,
     mk_basis,
-    sigma,
 )
+from plusforms.arith import sigma
 
 
 def bernoulli_oracle(n):

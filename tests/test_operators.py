@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from plusforms import _cache
 from plusforms.cohen_eisenstein import cohen_series, theta
-from plusforms.level_one_forms import eisenstein, sigma
+from plusforms.arith import sigma
+from plusforms.level_one_forms import eisenstein
 from plusforms.operators import (
     Character,
     NotOddPrimeError,
@@ -17,7 +18,6 @@ from plusforms.operators import (
     level_after_u,
     level_after_v,
     m_of,
-    r_series,
     r_t,
     twist,
     u_op,
@@ -202,12 +202,12 @@ class TestRt:
         for t in range(0, 47, 2):
             if t == 2:
                 continue
-            assert r_series(t, p, RingTag(3)) == \
+            assert r_t(t, p, RingTag(3)).series == \
                 r_t(t, p).series.reduce_mod(3), t
 
     def test_built_mod_m_rejects_t2(self):
         with pytest.raises(ValueError):
-            r_series(2, 10, RingTag(3))
+            r_t(2, 10, RingTag(3)).series
 
     def test_w2_bridge(self):
         w = w2_bridge(50)
