@@ -175,20 +175,24 @@ def dilate4(g: QSeries, precision: int) -> QSeries:
 def r_monomial(t: int, precision: int, ring: RingTag = RATIONAL) -> QSeries:
     """E_4^(floor(t/4) - m) E_6^m with m = m_of(t): R_t before V_4, over
     `ring`.  Over Z/m the factors are reduced before the powers: reduction
-    mod m is a ring homomorphism on m-integral series."""
+    mod m is a ring homomorphism on m-integral series.  A factor that
+    reduces to 1 (E_4 and E_6 mod 3) is not powered or multiplied."""
     e6_pow = m_of(t)
     e4_pow = t // 4 - e6_pow
     if e4_pow < 0:
         raise ValueError("t = %d has no nonnegative monomial exponents" % t)
+    one = QSeries.one(ring, precision)
     acc = None
     for weight, e in ((4, e4_pow), (6, e6_pow)):
         if e:
             piece = eisenstein(weight, precision).series
             if ring.modulus is not None:
                 piece = piece.reduce_mod(ring.modulus)
+                if piece == one:
+                    continue
             piece = piece ** e
             acc = piece if acc is None else acc * piece
-    return QSeries.one(ring, precision) if acc is None else acc
+    return one if acc is None else acc
 
 
 def r_t(t: int, precision: int, ring: RingTag = RATIONAL) -> Form:

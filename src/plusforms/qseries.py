@@ -10,13 +10,17 @@ propagates as the minimum across operands.
 
 Operations touch only integers.  A sum brings both rows to the lcm of the
 denominators, a scaling multiplies row and denominator, and one gcd brings a
-result back to lowest terms.  A product multiplies the two integer rows once
-by Kronecker substitution (each row packed into one big integer, one digit
-per coefficient, wide enough that no digit of the product overflows), over
-the product of the denominators, or reduced mod m; it equals the schoolbook
-double loop, which the tests keep as the oracle.  A lowest-terms row is
-m-integral exactly when gcd(den, m) = 1, so reduce_mod is one gcd and one
-inverse; only a failing check scans for the first offending exponent.
+result back to lowest terms.  A product multiplies the two integer rows by
+Kronecker substitution (each row packed into one big integer, one digit per
+coefficient, wide enough that no digit of the product overflows), over the
+product of the denominators, or reduced mod m; it equals the schoolbook
+double loop, which the tests keep as the oracle.  Plus forms, theta, F_2
+and V_4 images vanish on some residue classes mod 4, and class r of one row
+meets class t of the other only in class (r + t) mod 4 of the product; when
+at most four class pairs are nonzero in both rows, the product is assembled
+from their quarter-length substitutions.  A lowest-terms row is m-integral
+exactly when gcd(den, m) = 1, so reduce_mod is one gcd and one inverse; only
+a failing check scans for the first offending exponent.
 """
 
 from __future__ import annotations
@@ -68,34 +72,64 @@ def _kronecker(a: list[int], b: list[int]) -> list[int]:
     """The first n coefficients of the product of two integer rows of
     length n, by Kronecker substitution.
 
+    The coefficients in residue class r mod 4 of one row meet those in
+    class t of the other only in class (r + t) mod 4 of the product, one
+    place further up that class when r + t >= 4.  So when at most four class
+    pairs are nonzero in both rows (a V_4 image times any row; plus forms,
+    theta and F_2, on two classes each, times each other), the product is
+    the sum of those pairs' quarter-length products, each put back in its
+    class.  Otherwise it is one dense product: the split by the one class
+    mod 1.
+
     Every product coefficient is below n * 2^(bits(a) + bits(b)) in absolute
-    value, so a digit of w bits with one more to spare holds it in two's
-    complement.  Adding 2^(w-1) to every digit (`bias`) makes each one
-    nonnegative, so the digits of a packed row, and the low n digits of the
-    product, read back independently without borrows."""
+    value, so a digit of w bits with one more to spare holds it, and every
+    partial sum of its terms, in two's complement.  Each class is packed
+    once into such digits.  Adding 2^(w-1) to every digit (`bias`) makes
+    each one nonnegative, so the digits of a packed row, and the low digits
+    of a product, read back independently without borrows.  Each piece is
+    at most a quarter as long as the dense product and no wider."""
     n = len(a)
-    bits = (max(map(int.bit_length, a)) + max(map(int.bit_length, b))
-            + n.bit_length() + 1)
-    width = (bits + 7) // 8
-    size = width * n
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
-    x = (_pack(a, width) ^ bias) - bias
-    y = (_pack(b, width) ^ bias) - bias
-    low = ((x * y + bias) & ((1 << 8 * size) - 1)) ^ bias
-    view = memoryview(low.to_bytes(size, "little"))
-    return [int.from_bytes(view[i:i + width], "little", signed=True)
-            for i in range(0, size, width)]
+    width = (max(map(int.bit_length, a)) + max(map(int.bit_length, b))
+             + n.bit_length() + 8) // 8
+    step = 4
+    split_a = [(r, x) for r in range(4) if any(x := a[r::4])]
+    split_b = [(t, y) for t in range(4) if any(y := b[t::4])]
+    if len(split_a) * len(split_b) > 4:
+        step, split_a, split_b = 1, [(0, a)], [(0, b)]
+    packed_b = [(t, _pack(y, width)) for t, y in split_b]
+    out, filled = [0] * n, set()
+    for r, x in split_a:
+        packed_x = _pack(x, width)
+        for t, packed_y in packed_b:
+            carry, cls = divmod(r + t, step)
+            start = cls + step * carry
+            piece = _substitute(packed_x, packed_y, width,
+                                len(range(start, n, step)))
+            if cls in filled:
+                piece = [u + v for u, v in zip(out[start::step], piece)]
+            out[start::step] = piece
+            filled.add(cls)
+    return out
+
+
+def _substitute(x: int, y: int, width: int, size: int) -> list[int]:
+    """The low `size` digits of the product of two packed rows, read as
+    signed integers."""
+    mask = (1 << 8 * width * size) - 1
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
+    x = ((x & mask) ^ bias) - bias
+    y = ((y & mask) ^ bias) - bias
+    low = ((x * y + bias) & mask) ^ bias
+    digits = low.to_bytes(width * size, "little")
+    return [int.from_bytes(digits[i:i + width], "little", signed=True)
+            for i in range(0, width * size, width)]
 
 
 def _pack(row: list[int], width: int) -> int:
     """The row's coefficients as consecutive two's complement digits of
     `width` bytes, read as one nonnegative integer."""
-    buf = bytearray(width * len(row))
-    for i, c in enumerate(row):
-        if c:
-            start = i * width
-            buf[start:start + width] = c.to_bytes(width, "little", signed=True)
-    return int.from_bytes(buf, "little")
+    return int.from_bytes(b"".join([c.to_bytes(width, "little", signed=True)
+                                    for c in row]), "little")
 
 
 def _coerce(ring: RingTag, value):

@@ -217,6 +217,15 @@ PINNED_OUTPUTS = [
      "22078bbd8dd5bfca1dad6d287c75e2d5f4dbdcc7f696f4e1f0373831ed5a4b9b"),
     (("expand", "--form", "cohen:13", "--prec", "300", "--json"), 0,
      "03d5c2b2acdc2dbda682f7513dbba7135070f5eae95dc1e56b0c4d0b81f2452f"),
+    # products whose factors live on one or two residue classes mod 4
+    (("expand", "--form", "phi:13", "--prec", "400", "--json"), 0,
+     "be78e88a97dc9d283e6263c06738bc3f63351bf2e216ece1780ca47b4fd02fe8"),
+    (("expand", "--form", "psi:24", "--prec", "400", "--json"), 0,
+     "2d1cca450922cab6280e22bec1e7c336cbc4fee027132375f7eb9a03b4aecfbe"),
+    (("expand", "--form", "psi10", "--prec", "400", "--json"), 0,
+     "8ef56bdbcd00a974132d0b3e8301eb80a39d77056a0b58edc86c77e11a9f65e5"),
+    (("expand", "--form", "f", "--prec", "400", "--json"), 0,
+     "a030f27d2406631bcaa73e6cd91a6993f23e88f71c50a58ad14160015097b670"),
 ]
 
 

@@ -18,6 +18,7 @@ from plusforms.operators import (
     level_after_u,
     level_after_v,
     m_of,
+    r_monomial,
     r_t,
     twist,
     u_op,
@@ -204,6 +205,19 @@ class TestRt:
                 continue
             assert r_t(t, p, RingTag(3)).series == \
                 r_t(t, p).series.reduce_mod(3), t
+
+    def test_mod_three_monomial_multiplies_no_ones(self, monkeypatch):
+        # E_4 = E_6 = 1 mod 3, so R_t mod 3 is built without a product
+        from plusforms import qseries
+
+        def no_product(a, b):
+            raise AssertionError("a product of ones was formed")
+
+        monkeypatch.setattr(qseries, "_kronecker", no_product)
+        for t in range(0, 47, 2):
+            if t != 2:
+                assert r_monomial(t, 30, RingTag(3)) == \
+                    QSeries.one(RingTag(3), 30), t
 
     def test_built_mod_m_rejects_t2(self):
         with pytest.raises(ValueError):

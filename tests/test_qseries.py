@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plusforms.operators import v_op
+from plusforms.arith import sigma_table
+from plusforms.cohen_eisenstein import cohen_series, theta
+from plusforms.operators import dilate4, r_t, v4_precision, v_op
 from plusforms.qseries import (
     QSeries,
     RATIONAL,
@@ -171,6 +173,23 @@ def _row(rnd, n, kind, bits, denominators):
 
 kinds = st.sampled_from(("fraction", "integer", "zero", "single"))
 
+# a nonempty set of residue classes mod 4, or "v4" for the V_4 image of a
+# dense row (dense on class 0 alone, built by dilation)
+class_sets = st.one_of(st.just("v4"),
+                       st.sets(st.integers(0, 3), min_size=1).map(frozenset))
+SUBSETS = [frozenset(r for r in range(4) if mask >> r & 1)
+           for mask in range(1, 16)]
+
+
+def _class_series(ring, n, classes, value):
+    """n coefficients drawn by value() on the residue classes mod 4 in
+    `classes` and 0 on the others; "v4" dilates a dense row."""
+    if classes == "v4":
+        return dilate4(QSeries(ring, [value() for _ in
+                                      range(v4_precision(n))]), n)
+    return QSeries(ring, [value() if i % 4 in classes else 0
+                          for i in range(n)])
+
 
 class TestProductKernel:
     """The Kronecker kernel against the schoolbook oracle."""
@@ -220,6 +239,102 @@ class TestProductKernel:
         a = QSeries.rational([big, -big, Fraction(-big, 10 ** 6), 0, big])
         b = QSeries.rational([-big, Fraction(1, 999983), big, big, -1])
         assert (a * b).coeffs == schoolbook_product(a, b)
+
+
+class TestClassSparseProducts:
+    """Rows dense on some residue classes mod 4 and zero on the others, as
+    plus forms, theta, F_2 and V_4 images are, against the schoolbook
+    oracle in both operand orders."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 300), st.integers(0, 40), class_sets, class_sets,
+           st.integers(0, 256), st.lists(st.integers(1, 10 ** 6),
+                                         min_size=1, max_size=6),
+           st.randoms(use_true_random=False))
+    def test_rational_rows(self, n, extra, classes_a, classes_b, bits,
+                           denominators, rnd):
+        def value():
+            return Fraction(rnd.randint(-(1 << bits), 1 << bits),
+                            rnd.choice(denominators))
+        a = _class_series(RATIONAL, n, classes_a, value)
+        b = _class_series(RATIONAL, n + extra, classes_b, value)
+        for x, y in ((a, b), (b, a)):
+            got = (x * y).coeffs
+            assert len(got) == n
+            assert all(type(c) is Fraction for c in got)
+            assert got == schoolbook_product(x, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 300), st.integers(0, 40), class_sets, class_sets,
+           st.sampled_from(("small", "word", "edge")),
+           st.randoms(use_true_random=False))
+    def test_modular_rows(self, n, extra, classes_a, classes_b, size, rnd):
+        m = {"small": rnd.randint(2, 1000),
+             "word": rnd.randint(1 << 31, 1 << 33),
+             "edge": (1 << 64) + 13}[size]
+        a = _class_series(RingTag(m), n, classes_a, lambda: rnd.randrange(m))
+        b = _class_series(RingTag(m), n + extra, classes_b,
+                          lambda: rnd.randrange(m))
+        for x, y in ((a, b), (b, a)):
+            got = (x * y).coeffs
+            assert all(type(c) is int for c in got)
+            assert got == schoolbook_product(x, y)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8,
+                                   297, 298, 299, 300])
+    def test_every_length_mod_4(self, n):
+        # every pair of class sets with at most four nonzero class pairs,
+        # each entry the top residue of Z/(2^64 + 13) so every digit of
+        # every piece takes its largest value
+        m = (1 << 64) + 13
+        ring = RingTag(m)
+        for classes_a in SUBSETS:
+            a = _class_series(ring, n, classes_a, lambda: m - 1)
+            for classes_b in SUBSETS:
+                if len(classes_a) * len(classes_b) > 4 and n > 8:
+                    continue
+                b = _class_series(ring, n, classes_b, lambda: m - 1)
+                assert (a * b).coeffs == schoolbook_product(a, b)
+
+    @pytest.mark.parametrize("r,t,n", [(1, 3, 9), (1, 3, 301), (2, 2, 5),
+                                       (2, 2, 297), (2, 3, 6), (2, 3, 298),
+                                       (3, 3, 7), (3, 3, 299)])
+    def test_top_classes_carry_into_last_index(self, r, t, n):
+        # r + t >= 4: the piece lands one place further up class r + t - 4,
+        # and the last index n - 1 is in that class
+        a = _class_series(RATIONAL, n, {r}, lambda: 1)
+        b = _class_series(RATIONAL, n, {t}, lambda: -1)
+        got = (a * b).coeffs
+        assert got == schoolbook_product(a, b)
+        assert got[-1] != 0
+
+    @pytest.mark.parametrize("classes", ["v4"] + SUBSETS)
+    def test_zero_rows(self, classes):
+        a = _class_series(RATIONAL, 41, classes, lambda: Fraction(-7, 3))
+        zero = QSeries.zero(RATIONAL, 41)
+        assert (a * zero).coeffs == (0,) * 41
+        assert (zero * a).coeffs == (0,) * 41
+        assert (zero * zero).coeffs == (0,) * 41
+
+    @pytest.mark.parametrize("n", [298, 299, 300, 301])
+    def test_theta_squared(self, n):
+        th = theta(n).series
+        assert (th * th).coeffs == schoolbook_product(th, th)
+
+    @pytest.mark.parametrize("n", [298, 299, 300, 301])
+    def test_f2_squared(self, n):
+        f2 = QSeries.rational([s if i % 2 else 0
+                               for i, s in enumerate(sigma_table(1, n))])
+        assert (f2 * f2).coeffs == schoolbook_product(f2, f2)
+
+    @pytest.mark.parametrize("n", [298, 299, 300, 301])
+    def test_plus_form_times_dilated_row(self, n):
+        h = cohen_series(2, n).series
+        e4 = r_t(4, n).series
+        for x, y in ((h, e4), (e4, h)):
+            assert (x * y).coeffs == schoolbook_product(x, y)
+        h3, e43 = h.primitive().reduce_mod(3), e4.reduce_mod(3)
+        assert (h3 * e43).coeffs == schoolbook_product(h3, e43)
 
 
 class TestRendering:
