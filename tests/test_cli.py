@@ -226,6 +226,17 @@ PINNED_OUTPUTS = [
      "8ef56bdbcd00a974132d0b3e8301eb80a39d77056a0b58edc86c77e11a9f65e5"),
     (("expand", "--form", "f", "--prec", "400", "--json"), 0,
      "a030f27d2406631bcaa73e6cd91a6993f23e88f71c50a58ad14160015097b670"),
+    # a verify decided by one comparison of the reduced rows: the level-8
+    # and the heaviest default pair, a bound above the precision, and a
+    # mismatch under a pinned unit on the squared path
+    (("verify", "psi:14"), 0,
+     "f0aa9298b1c58430000a220e3231fe16efbb8d7c22b21c53cf518432cd4045e8"),
+    (("verify", "psi:30"), 0,
+     "d98fa1fca60799fbd07c7f744f840079e648ab4e78b751d4ddc1037b0384aabf"),
+    (("verify", "cong", "--prec", "540"), 2,
+     "777e691ef5ad831aa9144fee9cd3f70f984a19ffb139da50503a0dece50ef643"),
+    (("verify", "psi:12", "--unit", "2"), 1,
+     "39b35c7180488a54f34375e291b6db87c4c728596961a1b59ba3d5a40a3c4086"),
 ]
 
 

@@ -1,5 +1,11 @@
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from plusforms import qseries
+from plusforms.cohen_eisenstein import theta
 from plusforms.congruence_engine import (
     HalfIntegralWeightError,
     IncompatibleWeightsError,
@@ -20,7 +26,7 @@ from plusforms.constructions import (
     psi,
 )
 from plusforms.level_one_forms import FormMeta
-from plusforms.operators import OperatorTrace
+from plusforms.operators import OperatorTrace, r_t
 from plusforms.qseries import QSeries, RingTag
 
 
@@ -262,3 +268,81 @@ class TestModulusRule:
         report = verify_congruence(a, a, 5)
         assert report.verified and report.unit == 1
         assert equalize_and_integralize(a, a, 7)[2:] == (20, 4)
+
+
+def _sturm_pair_mod3(plan, lhs, rhs):
+    """The plan's integral-weight pair built over Q from the public theta
+    and r_t, then reduced mod 3: theta (or the square) times each side,
+    times that side's R factor."""
+    precision = lhs.precision
+    if plan.strategy == "theta_integralize":
+        th = theta(precision).series
+        sides = [lhs * th, rhs * th]
+    else:
+        sides = [lhs * lhs, rhs * rhs]
+    for i, weight in enumerate(plan.r_weights):
+        if weight:
+            sides[i] = sides[i] * r_t(weight, precision).series
+    return [side.reduce_mod(3) for side in sides]
+
+
+def _first_index(a, b, unit):
+    """The first n with a != unit * b in two rows reduced mod 3."""
+    return next((n for n, (x, y) in enumerate(zip(a.nums, b.nums))
+                 if x != unit * y % 3), None)
+
+
+@st.composite
+def _rows_near_a_congruence(draw):
+    """Two 3-integral rows of a common length B <= 80 over one denominator
+    prime to 3, lhs = unit * rhs + 3 * noise, sometimes with one coefficient
+    of lhs moved off the congruence."""
+    length = draw(st.integers(1, 80))
+    unit = draw(st.sampled_from((1, 2)))
+    den = draw(st.sampled_from((1, 2, 5, 28)))
+    ints = st.lists(st.integers(-60, 60), min_size=length, max_size=length)
+    rhs, noise = draw(ints), draw(ints)
+    lhs = [unit * r + 3 * e for r, e in zip(rhs, noise)]
+    if draw(st.booleans()):
+        lhs[draw(st.integers(0, length - 1))] += draw(st.sampled_from((1, 2)))
+    return (unit, QSeries.rational([Fraction(c, den) for c in lhs]),
+            QSeries.rational([Fraction(c, den) for c in rhs]))
+
+
+class TestRowsDecideTheSturmPair:
+    # below a cutoff B a product's coefficients depend only on its factors'
+    # coefficients below B, theta(0) = 1, and every R factor is 1 mod 3: so
+    # rows that agree mod 3 under u give a Sturm pair that agrees under u
+    # (u^2 for the squares), and theta moves no first difference
+    @pytest.mark.parametrize("gap2,strategy,t", [
+        (0, "theta_integralize", 0), (4, "theta_integralize", 2),
+        (8, "theta_integralize", 4), (16, "theta_integralize", 8),
+        (2, "squared", 2), (6, "squared", 6), (10, "squared", 10)])
+    @settings(max_examples=25, deadline=None)
+    @given(rows=_rows_near_a_congruence(),
+           light=st.sampled_from((1, 3, 5, 9)), heavy_first=st.booleans())
+    def test_the_integral_weight_pair_follows_the_rows(
+            self, gap2, strategy, t, rows, light, heavy_first):
+        unit, lhs, rhs = rows
+        metas = FormMeta(light + gap2, 4), FormMeta(light, 4)
+        plan = sturm_plan(*(metas if heavy_first else metas[::-1]))
+        assert (plan.strategy, plan.t) == (strategy, t)
+        first = _first_index(lhs.reduce_mod(3), rhs.reduce_mod(3), unit)
+        pair = _sturm_pair_mod3(plan, lhs, rhs)
+        if strategy == "squared":
+            if first is None:
+                assert _first_index(*pair, unit * unit % 3) is None
+        else:
+            assert _first_index(*pair, unit) == first
+
+        bound = sturm_bound(plan.twice_weight, plan.level)
+        if bound <= lhs.precision:
+            lhs_meta, rhs_meta = metas if heavy_first else metas[::-1]
+            report = verify_congruence(
+                NamedForm("lhs", lhs, lhs_meta, OperatorTrace(("lhs",), 4)),
+                NamedForm("rhs", rhs, rhs_meta, OperatorTrace(("rhs",), 4)),
+                3, units=(unit,))
+            assert report.verified == (first is None or first >= bound)
+            if not report.verified:
+                assert report.first_n == first
+
