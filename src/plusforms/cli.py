@@ -54,7 +54,8 @@ EXIT_PRECISION = 2
 EXIT_INTEGRALITY = 3
 EXIT_USAGE = 64
 
-# the most coefficients a verify target builds: far above the paper's bounds
+# the most coefficients a verify target or an expand builds: far above the
+# paper's bounds
 VERIFY_CEILING = 10 ** 6
 
 
@@ -89,13 +90,14 @@ def _capped(precision: int) -> int:
     return precision if cap is None else min(precision, cap)
 
 
-def _verify_precision(target: str, precision: int) -> int:
-    """The capped precision a verify target builds, at most the ceiling."""
+def _verify_precision(command: str, precision: int) -> int:
+    """The capped precision `command` (say "verify cong") builds, at most
+    the ceiling."""
     precision = _capped(precision)
     if precision > VERIFY_CEILING:
-        raise UsageError("verify %s would build %d coefficients, above the "
+        raise UsageError("%s would build %d coefficients, above the "
                          "limit of %d; choose a smaller --prec"
-                         % (target, precision, VERIFY_CEILING))
+                         % (command, precision, VERIFY_CEILING))
     return precision
 
 
@@ -142,7 +144,7 @@ def _build_form(spec: str, precision: int):
 
 
 def _cmd_expand(args) -> int:
-    precision = _capped(args.prec)
+    precision = _verify_precision("expand --form " + args.form, args.prec)
     form = _build_form(args.form, precision)
     series = form.series
     if args.mod is not None:
@@ -176,12 +178,12 @@ def _verify_pair(target, precision, units) -> CongruenceReport:
     if precision is None:
         plan = sturm_plan(*(form.meta for form in build(1)))
         precision = -(-sturm_bound(plan.twice_weight, plan.level) * 6 // 5)
-    return verify_congruence(*build(_verify_precision(target, precision)), 3,
-                             units=units)
+    precision = _verify_precision("verify " + target, precision)
+    return verify_congruence(*build(precision), 3, units=units)
 
 
 def _verify_remark3(precision, units) -> CongruenceReport:
-    precision = _verify_precision("remark3",
+    precision = _verify_precision("verify remark3",
                                   300 if precision is None else precision)
     lhs = cusp_line_13_half(precision)
     rhs = theta_off_multiples_of_three(precision)
@@ -192,7 +194,7 @@ def _verify_remark3(precision, units) -> CongruenceReport:
 def _verify_ut(ell, precision) -> list[CongruenceReport]:
     check_odd_prime(ell)
     out_prec = _capped(100 if precision is None else precision)
-    in_prec = _verify_precision("ut:%d" % ell, ell * ell * out_prec)
+    in_prec = _verify_precision("verify ut:%d" % ell, ell * ell * out_prec)
     sources = [
         ("theta", theta(in_prec).series, 0),
         ("cohen:2", cohen_series(2, in_prec).series, 2),
@@ -210,7 +212,8 @@ def _verify_ut(ell, precision) -> list[CongruenceReport]:
 
 
 def _verify_rt(precision) -> list[CongruenceReport]:
-    depth = _verify_precision("rt", 100 if precision is None else precision)
+    depth = _verify_precision("verify rt",
+                              100 if precision is None else precision)
     reports = []
     for t in range(0, 41, 2):
         if t == 2:

@@ -21,8 +21,12 @@ pair, whose Sturm bound is the bound a target is checked to.
   sign.
 
 R_t is identically 1 only mod 3, so a gap t > 0 is compared mod 3 only.
-All comparisons run on mod-m reductions, and theta and R_t are built in
-Z/m (E_4, E_6 reduced before the powers), so every product is in residues.
+Below a cutoff B a product's coefficients depend only on its factors'
+coefficients below B, theta(0) = 1, and every R factor is 1 mod 3.  So
+lhs = u * rhs mod m below B gives theta lhs R = u theta rhs R' and
+lhs^2 R = u^2 rhs^2 R' below B, and theta moves no first difference: the
+reduced rows decide the integral-weight pair, and verify_congruence
+compares them alone, forming no product.
 """
 
 from __future__ import annotations
@@ -104,33 +108,22 @@ def sturm_plan(lhs_meta: FormMeta, rhs_meta: FormMeta) -> SturmPlan:
                      lcm(lhs_meta.level_bound, rhs_meta.level_bound, 4))
 
 
-def _integral_pair(plan: SturmPlan, lhs: QSeries,
-                   rhs: QSeries) -> tuple[QSeries, QSeries]:
-    """The plan's integral-weight pair: theta times each side (or its
-    square), then each side's R factor, all in the ring of lhs and rhs."""
-    precision = min(lhs.precision, rhs.precision)
-    ring = lhs.ring
-    if plan.strategy == "theta_integralize":
-        th = QSeries.from_row(ring, theta(precision).series.nums)
-        sides = [lhs * th, rhs * th]
-    else:
-        sides = [lhs * lhs, rhs * rhs]
-    for i, weight in enumerate(plan.r_weights):
-        if weight:
-            sides[i] = sides[i] * r_t(weight, precision, ring).series
-    return sides[0], sides[1]
-
-
 def equalize_and_integralize(lhs: NamedForm, rhs: NamedForm,
                              m: int) -> tuple[QSeries, QSeries, int, int]:
-    """The theta_integralize pair of two half-integral forms over Q, with
-    the plan's twice-weight and level."""
+    """The theta_integralize pair of two half-integral forms over Q: theta
+    times each side, times that side's R factor, with the plan's
+    twice-weight and level."""
     plan = sturm_plan(lhs.meta, rhs.meta)
     if plan.strategy != "theta_integralize":
         raise IncompatibleWeightsError("odd weight gap: compare the squares")
     plan.check_modulus(m)
-    return (*_integral_pair(plan, lhs.series, rhs.series), plan.twice_weight,
-            plan.level)
+    precision = min(lhs.series.precision, rhs.series.precision)
+    th = theta(precision).series
+    sides = []
+    for form, weight in zip((lhs, rhs), plan.r_weights):
+        side = form.series * th
+        sides.append(side * r_t(weight, precision).series if weight else side)
+    return (*sides, plan.twice_weight, plan.level)
 
 
 @dataclass(frozen=True)
@@ -176,52 +169,49 @@ class CongruenceReport:
         return out
 
 
-def _first_difference(a: QSeries, b: QSeries, m: int, depth: int,
-                      units: tuple[int, ...]) -> tuple[int | None, int | None]:
-    """Compare two rows reduced mod m on the exponents below depth.  Returns
-    (u, None) for the first u in `units` with a = u * b, else (None, n) with
-    n the first exponent where a != units[0] * b."""
-    firsts = []
-    for unit in units:
-        first = next((n for n in range(depth)
-                      if a.nums[n] != unit * b.nums[n] % m), None)
-        if first is None:
-            return unit, None
-        firsts.append(first)
-    return None, firsts[0]
-
-
 def _candidate_units(m: int) -> tuple[int, ...]:
     return tuple(u for u in range(1, m) if gcd(u, m) == 1)
+
+
+def _compare(report, lhs: QSeries, rhs: QSeries, depth: int,
+             units: tuple[int, ...] | None) -> CongruenceReport:
+    """Compare two rows reduced mod m on the exponents below depth, and
+    complete `report` (a CongruenceReport short of its status): verified
+    for the first unit in `units` (every unit mod m, from 1, when None)
+    with lhs = u * rhs; else a mismatch at the first n where
+    lhs != units[0] * rhs."""
+    m = lhs.ring.modulus
+    first = None
+    for unit in units or _candidate_units(m):
+        n = next((n for n in range(depth)
+                  if lhs.nums[n] != unit * rhs.nums[n] % m), None)
+        if n is None:
+            return report("verified", unit=unit)
+        first = n if first is None else first
+    return report("mismatch", first_n=first, lhs_value=lhs.nums[first],
+                  rhs_value=rhs.nums[first])
 
 
 def direct_report(lhs_name: str, rhs_name: str, lhs: QSeries, rhs: QSeries,
                   depth: int, units: tuple[int, ...] | None = None,
                   equalizer_t: int | None = None) -> CongruenceReport:
     """Plain coefficient comparison of two rows reduced mod m at a
-    caller-chosen depth, with no Sturm claim.  Verified for the first unit
-    in `units` (every unit mod m, from 1, when None) that matches; else a
-    mismatch at the first n where lhs != units[0] * rhs."""
-    m = lhs.ring.modulus
-    unit, first = _first_difference(lhs, rhs, m, depth,
-                                    units or _candidate_units(m))
-    if unit is not None:
-        return CongruenceReport(lhs_name, rhs_name, m, depth, equalizer_t,
-                                "direct", "verified", unit=unit)
-    return CongruenceReport(lhs_name, rhs_name, m, depth, equalizer_t,
-                            "direct", "mismatch", first_n=first,
-                            lhs_value=lhs.nums[first],
-                            rhs_value=rhs.nums[first])
+    caller-chosen depth, with no Sturm claim, reported as by _compare."""
+    return _compare(partial(CongruenceReport, lhs_name, rhs_name,
+                            lhs.ring.modulus, depth, equalizer_t, "direct"),
+                    lhs, rhs, depth, units)
 
 
 def verify_congruence(lhs: NamedForm, rhs: NamedForm, m: int = 3, *,
                       units: tuple[int, ...] | None = None) -> CongruenceReport:
-    """Check lhs = unit * rhs mod m up to the bound of sturm_plan; units are
-    tried in ascending order from 1 (or only `units` when given).  A
-    mismatch is reported at the first n where lhs != u0 * rhs, u0 the first
-    unit tried; when the rows match a unit u but the Sturm-level rows do
-    not, at the first n where those differ under u (u^2 when squared).  For
-    prime m that u is u0.  Outcomes are reported, never raised; t > 0 with
+    """Check lhs = unit * rhs mod m up to the bound B of sturm_plan; units
+    are tried in ascending order from 1 (or only `units` when given).
+    Below B the integral-weight pair depends only on the rows below B, each
+    R factor is 1 mod 3 and theta(0) = 1: rows that agree under u give a
+    pair that agrees under u (u^2 for the squares), and theta moves no
+    first difference.  So the two rows reduced mod m are compared once,
+    and a mismatch is reported at the first n where lhs != u0 * rhs, u0
+    the first unit tried.  Outcomes are reported, never raised; t > 0 with
     m != 3 is a ValueError."""
     plan = sturm_plan(lhs.meta, rhs.meta)
     plan.check_modulus(m)
@@ -232,18 +222,5 @@ def verify_congruence(lhs: NamedForm, rhs: NamedForm, m: int = 3, *,
     if available < bound:
         return report("insufficient_precision", required=bound,
                       available=available)
-
-    left = lhs.series.truncate(bound).reduce_mod(m)
-    right = rhs.series.truncate(bound).reduce_mod(m)
-    unit, first = _first_difference(left, right, m, bound,
-                                    units or _candidate_units(m))
-    rows = left, right
-    if unit is not None:
-        # Sturm-level rows: for squares the unit acts as unit^2
-        rows = _integral_pair(plan, left, right)
-        unit_int = unit * unit % m if plan.strategy == "squared" else unit
-        matched, first = _first_difference(*rows, m, bound, (unit_int,))
-        if matched is not None:
-            return report("verified", unit=unit)
-    return report("mismatch", first_n=first, lhs_value=rows[0].nums[first],
-                  rhs_value=rows[1].nums[first])
+    return _compare(report, lhs.series.truncate(bound).reduce_mod(m),
+                    rhs.series.truncate(bound).reduce_mod(m), bound, units)

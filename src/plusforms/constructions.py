@@ -25,7 +25,7 @@ from .cohen_eisenstein import (
     plus_space_basis,
     theta,
 )
-from .level_one_forms import FormMeta, delta, eisenstein
+from .level_one_forms import FormMeta, delta
 from .operators import (
     Character,
     OperatorTrace,
@@ -172,10 +172,8 @@ def psi(k: int, precision: int) -> NamedForm:
 
 def _psi10_base(precision: int) -> QSeries:
     small = v4_precision(precision)
-    e4 = eisenstein(4, small).series
-    e6 = eisenstein(6, small).series
-    e4e6 = dilate4(e4 * e6, precision)
-    e4e4 = dilate4(e4 * e4, precision)
+    e4e6 = dilate4(r_monomial(10, small), precision)
+    e4e4 = dilate4(r_monomial(8, small), precision)
     return theta(precision).series * e4e6 \
         - cohen_series(2, precision).series * e4e4
 

@@ -19,7 +19,7 @@ from math import lcm
 from . import _cache
 from .arith import is_prime, kronecker, kronecker_row, sigma_table
 from .level_one_forms import Form, FormMeta, eisenstein
-from .qseries import QSeries, RATIONAL, RingTag
+from .qseries import QSeries, RATIONAL
 
 
 class NotOddPrimeError(ValueError):
@@ -172,36 +172,27 @@ def dilate4(g: QSeries, precision: int) -> QSeries:
     return v_op(g, 4).truncate(precision)
 
 
-def r_monomial(t: int, precision: int, ring: RingTag = RATIONAL) -> QSeries:
-    """E_4^(floor(t/4) - m) E_6^m with m = m_of(t): R_t before V_4, over
-    `ring`.  Over Z/m the factors are reduced before the powers: reduction
-    mod m is a ring homomorphism on m-integral series.  A factor that
-    reduces to 1 (E_4 and E_6 mod 3) is not powered or multiplied."""
+def r_monomial(t: int, precision: int) -> QSeries:
+    """E_4^(floor(t/4) - m) E_6^m with m = m_of(t): R_t before V_4."""
     e6_pow = m_of(t)
     e4_pow = t // 4 - e6_pow
     if e4_pow < 0:
         raise ValueError("t = %d has no nonnegative monomial exponents" % t)
-    one = QSeries.one(ring, precision)
     acc = None
     for weight, e in ((4, e4_pow), (6, e6_pow)):
         if e:
-            piece = eisenstein(weight, precision).series
-            if ring.modulus is not None:
-                piece = piece.reduce_mod(ring.modulus)
-                if piece == one:
-                    continue
-            piece = piece ** e
+            piece = eisenstein(weight, precision).series ** e
             acc = piece if acc is None else acc * piece
-    return one if acc is None else acc
+    return QSeries.one(RATIONAL, precision) if acc is None else acc
 
 
-def r_t(t: int, precision: int, ring: RingTag = RATIONAL) -> Form:
+def r_t(t: int, precision: int) -> Form:
     """The weight-t monomial E_4(4z)^(floor(t/4) - m) E_6(4z)^m with
-    m = (t - 4 floor(t/4))/2 over `ring`; identically 1 mod 3 for every
-    valid even t.  t = 2 is rejected: no monomial in E_4, E_6 has weight 2."""
+    m = (t - 4 floor(t/4))/2, over Q; identically 1 mod 3 for every valid
+    even t.  t = 2 is rejected: no monomial in E_4, E_6 has weight 2."""
     series = _cache.series_at(
-        ("r_t", t, ring), precision,
-        lambda p: dilate4(r_monomial(t, v4_precision(p), ring), p))
+        ("r_t", t), precision,
+        lambda p: dilate4(r_monomial(t, v4_precision(p)), p))
     return Form(series, FormMeta(2 * t, 4))
 
 
@@ -215,14 +206,3 @@ def e2_level_two(precision: int) -> QSeries:
     coeffs[0] = 1
     return QSeries.rational(coeffs)
 
-
-def _w2_series(precision: int) -> QSeries:
-    return dilate4(e2_level_two(v4_precision(precision)), precision)
-
-
-def w2_bridge(precision: int) -> Form:
-    """A weight-2 stand-in for the missing monomial: 2 E_2(8z) - E_2(4z),
-    a holomorphic weight-2 form on level 8, supported on exponents
-    divisible by 4 and identically 1 mod 3."""
-    series = _cache.series_at(("w2",), precision, _w2_series)
-    return Form(series, FormMeta(4, 8))

@@ -414,3 +414,19 @@ class TestVerifyCostGuard:
         assert run(capsys, "verify", "rt", "--prec", "101")[0] == 64
         monkeypatch.setenv("PLUSFORMS_PREC_CAP", "100")
         assert run(capsys, "verify", "rt", "--prec", "101")[0] == 0
+
+    def test_expand_refuses_a_build_above_the_ceiling(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "expand", "--form", "theta",
+                             "--prec", "2000000")
+        assert time.perf_counter() - start < 0.5
+        assert code == 64 and out == ""
+        assert "theta" in err and "2000000" in err and "--prec" in err
+
+    def test_expand_ceiling_applies_after_the_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "VERIFY_CEILING", 100)
+        argv = ("expand", "--form", "theta", "--prec")
+        assert run(capsys, *argv, "100")[0] == 0
+        assert run(capsys, *argv, "101")[0] == 64
+        monkeypatch.setenv("PLUSFORMS_PREC_CAP", "100")
+        assert run(capsys, *argv, "101")[0] == 0

@@ -73,8 +73,6 @@ class TestEqualize:
             equalize_and_integralize(lhs, hurwitz_progression(30), 3)
 
     def test_r_multiplication_is_mod3_noop(self):
-        from plusforms.operators import r_t
-
         g = g31(50).series
         assert (g * r_t(8, 50).series).reduce_mod(3).coeffs == \
             g.reduce_mod(3).coeffs
@@ -121,7 +119,6 @@ class TestVerify:
         assert report.bound_used == 6
 
     def test_theta_against_delta_coefficients(self):
-        from plusforms.cohen_eisenstein import theta
         from plusforms.level_one_forms import delta
 
         th = _named("theta", theta(40).series, 1, 4)
@@ -171,9 +168,6 @@ class TestMismatchUnit:
 
 class TestGapTwo:
     def test_r4_on_the_heavy_side_and_r6_on_the_light_side(self):
-        from plusforms.cohen_eisenstein import theta
-        from plusforms.operators import r_t
-
         p = 20
         series = g31(p).series
         heavy = _named("heavy", series, 7, 4)
@@ -325,7 +319,8 @@ class TestRowsDecideTheSturmPair:
             self, gap2, strategy, t, rows, light, heavy_first):
         unit, lhs, rhs = rows
         metas = FormMeta(light + gap2, 4), FormMeta(light, 4)
-        plan = sturm_plan(*(metas if heavy_first else metas[::-1]))
+        lhs_meta, rhs_meta = metas if heavy_first else metas[::-1]
+        plan = sturm_plan(lhs_meta, rhs_meta)
         assert (plan.strategy, plan.t) == (strategy, t)
         first = _first_index(lhs.reduce_mod(3), rhs.reduce_mod(3), unit)
         pair = _sturm_pair_mod3(plan, lhs, rhs)
@@ -337,7 +332,6 @@ class TestRowsDecideTheSturmPair:
 
         bound = sturm_bound(plan.twice_weight, plan.level)
         if bound <= lhs.precision:
-            lhs_meta, rhs_meta = metas if heavy_first else metas[::-1]
             report = verify_congruence(
                 NamedForm("lhs", lhs, lhs_meta, OperatorTrace(("lhs",), 4)),
                 NamedForm("rhs", rhs, rhs_meta, OperatorTrace(("rhs",), 4)),
@@ -346,3 +340,19 @@ class TestRowsDecideTheSturmPair:
             if not report.verified:
                 assert report.first_n == first
 
+
+class TestOneComparison:
+    @pytest.mark.parametrize("build,unit", [
+        (lambda: (f_form(650), g31(650)), 2),
+        (lambda: (ap_named(psi(12, 1622), 2, 3), hurwitz_progression(1622)),
+         1)], ids=["cong", "psi12"])
+    def test_verify_forms_no_product(self, monkeypatch, build, unit):
+        # the reduced rows decide the Sturm pair, so none is multiplied out
+        lhs, rhs = build()
+
+        def refuse(a, b):
+            raise AssertionError("verify_congruence formed a product")
+
+        monkeypatch.setattr(qseries, "_kronecker", refuse)
+        report = verify_congruence(lhs, rhs, 3)
+        assert report.verified and report.unit == unit

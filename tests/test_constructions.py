@@ -26,7 +26,7 @@ from plusforms.constructions import (
     theta_off_multiples_of_three,
 )
 from plusforms.level_one_forms import delta, eisenstein
-from plusforms.operators import ap_project, r_t, twist, v_op, w2_bridge
+from plusforms.operators import ap_project, e2_level_two, r_t, twist, v_op
 from plusforms.qseries import RATIONAL, QSeries
 
 DISPLAY_PHI = {4: 2, 7: 1, 19: 1, 28: 2, 40: 2, 43: 1, 52: 2, 55: 1,
@@ -155,9 +155,10 @@ class TestPsi:
         for p in range(1, 26):
             delta4 = v_op(delta(p).series, 4).truncate(p)
             th = theta(p).series
-            for k, equalizer in ((14, w2_bridge(p)), (16, r_t(4, p)),
-                                 (24, r_t(12, p))):
-                expected = delta4 * equalizer.series * th
+            e2_4 = v_op(e2_level_two(p), 4).truncate(p)
+            for k, equalizer in ((14, e2_4), (16, r_t(4, p).series),
+                                 (24, r_t(12, p).series)):
+                expected = delta4 * equalizer * th
                 assert psi(k, p).series.coeffs == expected.coeffs, (k, p)
             e4_4 = v_op(eisenstein(4, p).series, 4).truncate(p)
             e6_4 = v_op(eisenstein(6, p).series, 4).truncate(p)
