@@ -141,7 +141,7 @@ def _census_population(x: int):
     return ds, field
 
 
-def _census_classes(x: int, workers: int):
+def _census_classes(x: int):
     """The census population, its field discriminants and h(-D) for each
     D, from one class-number table per class of FIELD_CLASSES."""
     import numpy as np
@@ -152,8 +152,7 @@ def _census_classes(x: int, workers: int):
         picked = -field % modulus == residue
         d = -field[picked]
         table = class_number_table(int(d.max()) if len(d) else 0,
-                                   workers=workers, modulus=modulus,
-                                   residue=residue)
+                                   modulus=modulus, residue=residue)
         h[picked] = table[(d - residue) // modulus]
     return ds, field, h
 
@@ -179,27 +178,27 @@ def _rows(ds, field, h) -> list[tuple[int, int, int, int]]:
                     memoryview(h % 3)))
 
 
-def nonvanishing_census(x: int, workers: int = 1) -> CensusReport:
+def nonvanishing_census(x: int) -> CensusReport:
     """Count fundamental D = 1 mod 3 in (0, x) whose imaginary quadratic
     class number h(-D) is prime to 3, against the negative-side progression
     count N_2^-(x, 1, 3)."""
     if x < 12:
         raise ValueError("x must be at least 12")
-    return _tally(x, _census_classes(x, workers)[2])
+    return _tally(x, _census_classes(x)[2])
 
 
-def census_rows(x: int, workers: int = 1):
+def census_rows(x: int):
     """(D, field_discriminant, h, h mod 3) per fundamental D = 1 mod 3 in
     (0, x), for the CSV output."""
-    return _rows(*_census_classes(x, workers))
+    return _rows(*_census_classes(x))
 
 
-def census_with_rows(x: int, workers: int = 1):
+def census_with_rows(x: int):
     """nonvanishing_census and census_rows from one set of class-number
     tables."""
     if x < 12:
         raise ValueError("x must be at least 12")
-    ds, field, h = _census_classes(x, workers)
+    ds, field, h = _census_classes(x)
     return _tally(x, h), _rows(ds, field, h)
 
 
@@ -217,7 +216,7 @@ def beta_census_crosscheck(x: int, phi_form=None) -> int:
         raise ValueError("phi(9) precision %d < x = %d"
                          % (phi_form.series.precision, x))
     betas = phi_form.series.reduce_mod(3).coeffs
-    ds, _, hs = _census_classes(x, 1)
+    ds, _, hs = _census_classes(x)
     checked = 0
     for d, h in zip(ds.tolist(), hs.tolist()):
         if d % 4:  # off the plus-space support D = 0, 3 mod 4

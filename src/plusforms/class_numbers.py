@@ -9,9 +9,6 @@ numbers h(-d) by a Mobius inversion over square divisors f^2 | d, which is
 exact only on some classes with s | 48 (its docstring names them);
 hurwitz_numbers takes the Hurwitz numbers H(n) directly, weighting
 (a, 0, a) by 1/2 and (a, a, a) by 1/3, for any s.
-Several workers may split the a-range of class_number_table into
-interleaved stripes whose counts are summed exactly, so results are
-bit-identical for any worker count.
 
 form_class_number and hurwitz_weighted_form_count enumerate the reduced
 forms of one discriminant at a time; they are the oracles the tests hold
@@ -28,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb, gcd, isqrt, lcm
 from typing import TYPE_CHECKING
 
@@ -138,15 +135,14 @@ def gen_bernoulli(r: int, d: int) -> Fraction:
 # -- the batch engine: class numbers and Hurwitz numbers -------------------
 
 
-def _count_forms(limit: int, modulus: int, first: int, stripes: int,
-                 stripe: int) -> np.ndarray:
+def _count_forms(limit: int, modulus: int, first: int) -> np.ndarray:
     """N(d), the number of reduced forms of discriminant -d, primitive or
     not, for d <= limit in the class of first mod modulus, at index
-    (d - first) // modulus, from the a = stripe + 1 mod stripes only."""
+    (d - first) // modulus."""
     import numpy as np
 
     counts = np.zeros(max(0, (limit - first) // modulus + 1), np.int32)
-    for a in range(stripe + 1, isqrt(limit // 3) + 1, stripes):
+    for a in range(1, isqrt(limit // 3) + 1):
         g = gcd(4 * a, modulus)
         step, period = 4 * a // g, modulus // g  # strides of index and c
         inverse = pow(step, -1, period)
@@ -178,7 +174,7 @@ def _mobius_class(modulus: int, residue: int) -> bool:
             or (modulus % 16 == 0 and residue % 16 in (4, 8)))
 
 
-def class_number_table(limit: int, workers: int = 1, modulus: int = 1,
+def class_number_table(limit: int, modulus: int = 1,
                        residue: int = 0) -> np.ndarray:
     """h(-d) for 1 <= d <= limit with d = residue mod modulus, at index
     (d - d0) // modulus where d0 is the least positive member of the class
@@ -194,16 +190,7 @@ def class_number_table(limit: int, workers: int = 1, modulus: int = 1,
         raise ValueError("the Mobius step over f^2 is not exact on the "
                          "class %d mod %d" % (residue, modulus))
     first = (residue - 1) % modulus + 1
-    stripes = max(1, min(workers, isqrt(limit // 3)))
-    if stripes > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=stripes) as pool:
-            counts = sum(pool.map(
-                partial(_count_forms, limit, modulus, first, stripes),
-                range(stripes)))
-    else:
-        counts = _count_forms(limit, modulus, first, 1, 0)
+    counts = _count_forms(limit, modulus, first)
     # h(d) = sum over f^2 | d of mu(f) N(d / f^2), applied as one factor
     # N(d) - N(d / p^2) per prime p; p^2 = 1 mod modulus for p prime to it,
     # so d / p^2 lies in the class of d
@@ -232,7 +219,7 @@ def hurwitz_numbers(limit: int, modulus: int = 1,
         return []
     first = (residue - 1) % modulus + 1
     out = [Fraction(c) for c in
-           _count_forms(limit, modulus, first, 1, 0).tolist()]
+           _count_forms(limit, modulus, first).tolist()]
     for scale, weight in ((4, Fraction(1, 2)), (3, Fraction(1, 3))):
         for a in range(1, isqrt(limit // scale) + 1):
             n = scale * a * a

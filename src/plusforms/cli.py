@@ -265,12 +265,12 @@ def _cmd_census(args) -> int:
         raise UsageError("--workers must be >= 1")
     if args.csv:
         with _open_output(args.csv, newline="") as fh:
-            report, rows = census_with_rows(args.x, workers=args.workers)
+            report, rows = census_with_rows(args.x)
             writer = csv.writer(fh)
             writer.writerow(["D", "field_discriminant", "h", "h_mod_3"])
             writer.writerows(rows)
     else:
-        report = nonvanishing_census(args.x, workers=args.workers)
+        report = nonvanishing_census(args.x)
     print(json.dumps(report.to_json_dict(), indent=2))
     print("x=%d  N2-(x,1,3)=%d (density %.5f)  3!|h count=%d (density %.5f)"
           % (args.x, report.n2minus_count, float(report.n2minus_density),
@@ -332,7 +332,9 @@ def _build_parser() -> _Parser:
 
     p_census = sub.add_parser("census", help="discriminant densities")
     p_census.add_argument("--x", type=int, required=True)
-    p_census.add_argument("--workers", type=int, default=1)
+    p_census.add_argument("--workers", type=int, default=1,
+                          help="accepted for compatibility and ignored: "
+                               "the census runs in one process")
     p_census.add_argument("--csv", default=None)
 
     p_class = sub.add_parser("classnum", help="class number of Q(sqrt(D))")
@@ -359,7 +361,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, inside the try
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away: the output could not be written,
+        # like an unwritable --csv or --out; stdout now points at devnull so
+        # the flush at shutdown stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("plusforms: stdout was closed", file=sys.stderr)
+        return EXIT_USAGE
     except NonIntegralCoefficientError as exc:
         print("plusforms: non-integral coefficient: %s" % exc,
               file=sys.stderr)

@@ -140,15 +140,15 @@ def g31(precision: int) -> NamedForm:
 
 def _psi_series(k: int, precision: int) -> QSeries:
     small = v4_precision(precision)
+    delta_r = delta(small).series
     if k - 12 == 2:
         # no weight-2 monomial exists; the level-8 bridge is 1 mod 3 and
         # keeps the support inside exponents 0, 1 mod 4
-        equalizer = e2_level_two(small)
-    else:
-        equalizer = r_monomial(k - 12, small)
+        delta_r = delta_r * e2_level_two(small)
+    elif k > 12:  # R_0 is the series 1
+        delta_r = delta_r * r_monomial(k - 12, small)
     # Delta(4z) R_{k-12} = V_4(Delta R')
-    delta_r = dilate4(delta(small).series * equalizer, precision)
-    return delta_r * theta(precision).series
+    return dilate4(delta_r, precision) * theta(precision).series
 
 
 def psi(k: int, precision: int) -> NamedForm:

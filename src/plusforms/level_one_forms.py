@@ -2,8 +2,8 @@
 
 Bernoulli numbers, the normalized Eisenstein series E_4 and E_6 (their
 divisor sums from arith.sigma_table), the discriminant cusp form Delta
-(computed as an eta product, with the (E_4^3 - E_6^2)/1728 identity kept
-around as an independent cross-check), monomial bases of M_k, and the
+(computed as an eta product; the tests hold it against the independent
+identity Delta = (E_4^3 - E_6^2)/1728), monomial bases of M_k, and the
 dimension of level-one cusp spaces.
 """
 

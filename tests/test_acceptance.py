@@ -119,7 +119,7 @@ def test_criterion_5_class_number_oracles():
 def test_criterion_6_density_reproduction():
     with criterion(6, "x=1e5 densities: n2minus in [0.1106,0.1174], nonvanishing > 0.057"):
         started = time.monotonic()
-        report = nonvanishing_census(100000, workers=1)
+        report = nonvanishing_census(100000)
         elapsed = time.monotonic() - started
         density = float(report.n2minus_density)
         assert 0.1106 <= density <= 0.1174, density

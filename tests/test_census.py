@@ -87,11 +87,10 @@ class TestBatchClassNumbers:
             assert table[d - 1] == expected, d
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 3000), st.sampled_from([(1, 0), (3, 1)]),
-           st.sampled_from([1, 2]))
-    def test_residue_class_matches_oracle(self, limit, cls, workers):
+    @given(st.integers(0, 3000), st.sampled_from([(1, 0), (3, 1)]))
+    def test_residue_class_matches_oracle(self, limit, cls):
         modulus, residue = cls
-        table = class_number_table(limit, workers, modulus, residue)
+        table = class_number_table(limit, modulus, residue)
         # index (d - d0) // modulus, d0 the least positive member
         expected = [form_class_number(-d) if d % 4 in (0, 3) else 0
                     for d in range(1, limit + 1) if d % modulus == residue]
@@ -111,23 +110,15 @@ class TestBatchClassNumbers:
         for modulus in range(1, 49):
             for residue in range(modulus):
                 try:
-                    tables = [class_number_table(limit, workers, modulus,
-                                                 residue)
-                              for workers in (1, 2)]
+                    table = class_number_table(limit, modulus, residue)
                 except ValueError:
                     continue
                 accepted.add((modulus, residue))
                 expected = [form_class_number(-d) if d % 4 in (0, 3) else 0
                             for d in range(1, limit + 1)
                             if d % modulus == residue]
-                for table in tables:
-                    assert table.tolist() == expected, (modulus, residue)
+                assert table.tolist() == expected, (modulus, residue)
         assert set(FIELD_CLASSES) <= accepted
-
-    def test_worker_determinism(self):
-        a = class_number_table(1200, workers=1)
-        b = class_number_table(1200, workers=2)
-        assert a.tolist() == b.tolist()
 
 
 class TestCensus:
@@ -162,10 +153,6 @@ class TestCensus:
                      if -field % modulus == residue]
             assert len(homes) == 1, (d, field)
             assert h == class_number_of_field(-d), d
-
-    def test_workers_agree(self):
-        assert nonvanishing_census(3000, workers=1) == \
-            nonvanishing_census(3000, workers=2)
 
     def test_nonvanishing_is_a_restriction_of_the_population(self):
         report = nonvanishing_census(2000)

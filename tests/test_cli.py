@@ -1,6 +1,11 @@
 import hashlib
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -273,9 +278,9 @@ class TestCensusCommand:
         calls = []
         table = census.class_number_table
 
-        def counting(limit, workers=1, modulus=1, residue=0):
+        def counting(limit, modulus=1, residue=0):
             calls.append((modulus, residue))
-            return table(limit, workers, modulus, residue)
+            return table(limit, modulus, residue)
 
         monkeypatch.setattr(census, "class_number_table", counting)
         target = tmp_path / "rows.csv"
@@ -297,6 +302,23 @@ class TestCensusCommand:
         target = tmp_path / "rows.csv"
         code, out, _ = run(capsys, "census", "--x", "100000",
                            "--workers", workers, "--csv", str(target))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "970b32348bde5a87a93cbf02ff0912c3aaaba25769c2782dece97ef61f953ea4"
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == \
+            "ba3a6f55667d812051a2a93b46ecdee7495922011eedd5b1784e8e08c4510f5b"
+
+    def test_census_starts_no_process(self, capsys, tmp_path, monkeypatch):
+        # --workers is accepted and ignored: however large, the census runs
+        # in this process and gives the digests pinned above
+        def refuse(process):
+            raise AssertionError("the census started a process")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            refuse)
+        target = tmp_path / "rows.csv"
+        code, out, _ = run(capsys, "census", "--x", "100000",
+                           "--workers", "100000", "--csv", str(target))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "970b32348bde5a87a93cbf02ff0912c3aaaba25769c2782dece97ef61f953ea4"
@@ -430,3 +452,28 @@ class TestVerifyCostGuard:
         assert run(capsys, *argv, "101")[0] == 64
         monkeypatch.setenv("PLUSFORMS_PREC_CAP", "100")
         assert run(capsys, *argv, "101")[0] == 0
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+ENTRY = ("import sys; sys.path.insert(0, %r); "
+         "from plusforms.cli import entry; entry()" % SRC)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "rt"],
+    ["expand", "--form", "delta", "--prec", "2000"],
+    ["census", "--x", "1000"],
+], ids=" ".join)
+def test_closed_stdout_is_a_usage_error(argv):
+    # the reader went away before the output was written: no traceback, and
+    # not exit 1, which would report a mismatch
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-c", ENTRY] + argv,
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 64, done.stderr
+    assert "Traceback" not in done.stderr

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import residue
-from plusforms import _cache
+from plusforms import _cache, qseries
 from plusforms.class_numbers import hurwitz
 from plusforms.cohen_eisenstein import (
     cohen_h,
@@ -166,6 +166,23 @@ class TestPsi:
                 - cohen_series(2, p).series * e4_4 * e4_4
             expected = twist(base, CHI3).scale(-1) + twist(base, CHI3_SQUARED)
             assert psi10(p).series.coeffs == expected.coeffs, p
+
+    def test_psi12_never_multiplies_by_one(self, monkeypatch):
+        # R_0 is the series 1, so psi(12) is V_4(Delta) theta with no
+        # product by it
+        _cache.clear()
+        kernel = qseries._kronecker
+        operands = []
+
+        def spy(a, b):
+            operands.extend((a, b))
+            return kernel(a, b)
+
+        monkeypatch.setattr(qseries, "_kronecker", spy)
+        psi(12, 1622)
+        assert operands
+        assert not [row for row in operands
+                    if row[0] == 1 and not any(row[1:])]
 
     def test_psi14_uses_level8_bridge(self):
         form = psi(14, 60)
