@@ -1,7 +1,10 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plusforms import cli
 from plusforms.census import (
     FIELD_CLASSES,
     BridgeViolationError,
@@ -162,6 +165,19 @@ class TestCensus:
     def test_x_floor(self):
         with pytest.raises(ValueError):
             nonvanishing_census(11)
+
+    def test_pinned_report_and_csv_at_a_million(self, capsys, tmp_path):
+        # the oracle tests stop at a few thousand; at x = 10^6 the tables
+        # reach d = 4x, and the JSON report and the CSV are pinned byte for
+        # byte
+        target = tmp_path / "rows.csv"
+        assert cli.main(["census", "--x", "1000000",
+                         "--csv", str(target)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "c759f9306dd09bd73a26f238126bc5623ab9f471aee4b2043ede3d977bf55c5b"
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == \
+            "ef9080b9032918612a0cf135ed2f445291f64814f152589865b06c4b5e7f0c90"
 
 
 class TestBridge:

@@ -153,6 +153,12 @@ class TestHurwitz:
         for n in range(3000):
             assert hurwitz(n) == hurwitz_weighted_form_count(n), n
 
+    def test_one_value_past_a_million(self):
+        # the batch and the one-discriminant oracle agree far beyond the
+        # limits the row test samples
+        n = 10 ** 6 + 3
+        assert hurwitz(n) == hurwitz_weighted_form_count(n) == 105
+
     def test_no_form_count_where_no_discriminant_exists(self, monkeypatch):
         # -n is no discriminant for n = 1, 2 mod 4: H(n) = 0 without a walk
         def refuse(*args):
