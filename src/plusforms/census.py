@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .arith import factorize, squarefree_flags
 from .class_numbers import class_number_table
@@ -171,11 +171,11 @@ def _tally(x: int, h: np.ndarray) -> CensusReport:
     )
 
 
-def _rows(ds, field, h) -> list[tuple[int, int, int, int]]:
+def _rows(ds, field, h) -> Iterator[tuple[int, int, int, int]]:
     # iterating a memoryview yields Python ints without a list per column,
     # which would raise the census's peak memory
-    return list(zip(memoryview(ds), memoryview(field), memoryview(h),
-                    memoryview(h % 3)))
+    return zip(memoryview(ds), memoryview(field), memoryview(h),
+               memoryview(h % 3))
 
 
 def nonvanishing_census(x: int) -> CensusReport:
@@ -187,15 +187,16 @@ def nonvanishing_census(x: int) -> CensusReport:
     return _tally(x, _census_classes(x)[2])
 
 
-def census_rows(x: int):
+def census_rows(x: int) -> list[tuple[int, int, int, int]]:
     """(D, field_discriminant, h, h mod 3) per fundamental D = 1 mod 3 in
     (0, x), for the CSV output."""
-    return _rows(*_census_classes(x))
+    return list(_rows(*_census_classes(x)))
 
 
 def census_with_rows(x: int):
-    """nonvanishing_census and census_rows from one set of class-number
-    tables."""
+    """nonvanishing_census and the rows of census_rows from one set of
+    class-number tables.  The rows come as an iterator over the arrays, so a
+    CSV writer streams them without a list of row tuples."""
     if x < 12:
         raise ValueError("x must be at least 12")
     ds, field, h = _census_classes(x)

@@ -1,12 +1,13 @@
 """Fundamental discriminants, class numbers and Hurwitz numbers.
 
-One batch engine, _count_forms, walks once over every pair (a, beta) that
-has a reduced form (a, +-beta, c) in the class, that is every root of
-beta^2 = -r mod gcd(4a, s), and counts every reduced form of discriminant
--d, primitive or not, along one class d = r mod s with strided numpy slice
-additions.  Two tables read it: class_number_table takes primitive class
-numbers h(-d) by a Mobius inversion over square divisors f^2 | d, which is
-exact only on some classes with s | 48 (its docstring names them);
+One batch engine, _count_forms, counts every reduced form of discriminant
+-d, primitive or not, along one class d = r mod s, one numpy batch per
+first coefficient a: the forms (a, +-beta, c) in the class lie on one
+arithmetic run of indices per root beta of beta^2 = -r mod gcd(4a, s), and
+one np.add.at adds all the runs of an a.  Two tables read it:
+class_number_table takes primitive class numbers h(-d) by a Mobius
+inversion over square divisors f^2 | d, which is exact only on some
+classes with s | 48 (its docstring names them);
 hurwitz_numbers takes the Hurwitz numbers H(n) directly, weighting
 (a, 0, a) by 1/2 and (a, a, a) by 1/3, for any s.
 
@@ -138,30 +139,45 @@ def gen_bernoulli(r: int, d: int) -> Fraction:
 def _count_forms(limit: int, modulus: int, first: int) -> np.ndarray:
     """N(d), the number of reduced forms of discriminant -d, primitive or
     not, for d <= limit in the class of first mod modulus, at index
-    (d - first) // modulus."""
+    (d - first) // modulus.
+
+    For each a, the forms (a, +-beta, c) in the class have c = c0 mod
+    modulus / g, g = gcd(4a, modulus), so beta's run of indices starts at
+    the index lo of 4a c0 - beta^2 and steps by 4a / g to the end of the
+    table.  One np.add.at adds all of a's runs: weight 2 for 0 < beta < a
+    (b = +-beta) and 1 for beta = 0 or a (b = beta only), less 1 at lo
+    when c0 = a, since (a, -beta, a) is not reduced.  The arithmetic is
+    int64, and its largest product stays under modulus^2."""
     import numpy as np
 
-    counts = np.zeros(max(0, (limit - first) // modulus + 1), np.int32)
-    for a in range(1, isqrt(limit // 3) + 1):
+    if modulus * modulus >= 1 << 63:
+        raise ValueError("modulus %d is too large for the form count's "
+                         "int64 arithmetic" % modulus)
+    size = max(0, (limit - first) // modulus + 1)
+    counts = np.zeros(size, np.int32)
+    top = isqrt(limit // 3)
+    shifted = first + np.arange(top + 1) ** 2  # first + beta^2
+    residues = shifted % modulus
+    for a in range(1, top + 1):
         g = gcd(4 * a, modulus)
         step, period = 4 * a // g, modulus // g  # strides of index and c
         inverse = pow(step, -1, period)
         # 4ac - beta^2 = first mod g has a solution c only for these beta
-        roots = [rho for rho in range(min(g, a + 1))
-                 if (first + rho * rho) % g == 0]
-        for beta in (b for rho in roots for b in range(rho, a + 1, g)):
-            bb = beta * beta
-            # c = c0 + k * period, k <= n: c >= a, 4ac - bb = first mod modulus
-            c0 = a + ((first + bb) // g * inverse - a) % period
-            n = ((limit + bb) // (4 * a) - c0) // period
-            if n < 0:
-                continue
-            lo = (4 * a * c0 - bb - first) // modulus
-            # b = +beta from c >= a, and b = -beta (0 < beta < a) from c > a
-            twice = 0 < beta < a
-            counts[lo:lo + n * step + 1:step] += 1 + twice
-            if twice and c0 == a:
-                counts[lo] -= 1
+        beta = np.flatnonzero(residues[:a + 1] % g == 0)
+        # the least c >= a with 4ac - beta^2 = first mod modulus
+        c0 = a + (residues[beta] // g * inverse - a) % period
+        lo = (4 * a * c0 - shifted[beta]) // modulus
+        # a run starts inside the table and ends at its last index
+        inside = lo < size
+        beta, c0, lo = beta[inside], c0[inside], lo[inside]
+        lengths = (size - 1 - lo) // step + 1
+        starts = np.cumsum(lengths) - lengths
+        twice = (0 < beta) & (beta < a)
+        # int32 weights, the dtype of counts, keep np.add.at on its fast path
+        weights = np.repeat(twice.astype(np.int32) + np.int32(1), lengths)
+        weights[starts[twice & (c0 == a)]] -= 1
+        np.add.at(counts, np.repeat(lo - step * starts, lengths)
+                  + step * np.arange(len(weights)), weights)
     return counts
 
 

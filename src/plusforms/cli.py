@@ -57,6 +57,9 @@ EXIT_USAGE = 64
 # the most coefficients a verify target or an expand builds: far above the
 # paper's bounds
 VERIFY_CEILING = 10 ** 6
+# the largest N classnum --hurwitz takes: H(999999999) takes about 4 s on
+# one Xeon core
+HURWITZ_CEILING = 10 ** 9
 
 
 class _Parser(argparse.ArgumentParser):
@@ -281,6 +284,9 @@ def _cmd_census(args) -> int:
 
 def _cmd_classnum(args) -> int:
     if args.hurwitz is not None:
+        if args.hurwitz > HURWITZ_CEILING:
+            raise UsageError("classnum --hurwitz %d is above the limit of %d"
+                             % (args.hurwitz, HURWITZ_CEILING))
         value = hurwitz(args.hurwitz)
         print(json.dumps({"n": args.hurwitz, "hurwitz": str(value)}))
         return EXIT_OK

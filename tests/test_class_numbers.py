@@ -159,6 +159,13 @@ class TestHurwitz:
         n = 10 ** 6 + 3
         assert hurwitz(n) == hurwitz_weighted_form_count(n) == 105
 
+    def test_batch_refuses_a_modulus_past_int64(self):
+        # the batch's largest product is below modulus^2, which must fit
+        # in int64: H(2^32) would take the one-entry class mod 2^32, and is
+        # refused before any product wraps around
+        with pytest.raises(ValueError, match="int64"):
+            hurwitz(1 << 32)
+
     def test_no_form_count_where_no_discriminant_exists(self, monkeypatch):
         # -n is no discriminant for n = 1, 2 mod 4: H(n) = 0 without a walk
         def refuse(*args):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -352,6 +353,20 @@ class TestOtherCommands:
     def test_classnum_hurwitz(self, capsys):
         code, out, _ = run(capsys, "classnum", "--hurwitz", "12")
         assert json.loads(out) == {"n": 12, "hurwitz": "4/3"}
+
+    def test_classnum_hurwitz_above_the_ceiling(self, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError("hurwitz(%d) ran past the ceiling" % n)
+
+        monkeypatch.setattr(cli, "hurwitz", refuse)
+        code, out, err = run(capsys, "classnum", "--hurwitz", "1000000003")
+        assert code == 64 and out == ""
+        assert "1000000003" in err
+        # the ceiling itself is accepted
+        monkeypatch.setattr(cli, "hurwitz", lambda n: Fraction(1, 3))
+        code, out, _ = run(capsys, "classnum", "--hurwitz", "1000000000")
+        assert code == 0
+        assert json.loads(out) == {"n": 10 ** 9, "hurwitz": "1/3"}
 
     def test_classnum_usage(self, capsys):
         code, _, _ = run(capsys, "classnum", "--d", "5")
