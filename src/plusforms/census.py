@@ -16,7 +16,7 @@ pay for numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING, Iterator
@@ -103,14 +103,10 @@ def n2minus(x: int, m: int, n: int) -> int:
 # -- the census ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CensusReport:
-    x: int
-    n2minus_count: int
-    n2minus_density: Fraction
-    nonvanishing_count: int
-    nonvanishing_density: Fraction
-    ratio_nonvanishing_to_n2minus: Fraction | None
+class CensusReport(namedtuple(
+        "CensusReport", "x n2minus_count n2minus_density nonvanishing_count "
+        "nonvanishing_density ratio_nonvanishing_to_n2minus")):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         ratio = self.ratio_nonvanishing_to_n2minus

@@ -24,7 +24,7 @@ it; every other routine here works on Python ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt, lcm
@@ -49,14 +49,14 @@ def is_fundamental(d: int) -> bool:
     return fundamental_part(d) == d
 
 
-@dataclass(frozen=True)
-class Discriminant:
-    value: int
-    is_fundamental: bool
+class Discriminant(namedtuple("Discriminant", "value is_fundamental")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.is_fundamental != is_fundamental(self.value):
             raise ValueError("inconsistent fundamentality flag for %d" % self.value)
+        return self
 
     @classmethod
     def of(cls, value: int) -> "Discriminant":

@@ -19,7 +19,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
 
 from .census import census_with_rows, nonvanishing_census
 from .class_numbers import class_number_of_field, field_discriminant, hurwitz
@@ -57,6 +56,9 @@ EXIT_USAGE = 64
 # the most coefficients a verify target or an expand builds: far above the
 # paper's bounds
 VERIFY_CEILING = 10 ** 6
+# the largest r expand --form cohen:r takes: the plus-space solve grows
+# steeply in r (cold, at --prec 10: 0.6 s at r = 100, 2.3 s at 150)
+COHEN_CEILING = 100
 # the largest N classnum --hurwitz takes: H(999999999) takes about 4 s on
 # one Xeon core
 HURWITZ_CEILING = 10 ** 9
@@ -128,7 +130,11 @@ def _build_form(spec: str, precision: int):
         if name == "theta" and not arg:
             return theta(precision)
         if name == "cohen":
-            return cohen_series(int(arg), precision)
+            r = int(arg)
+            if r > COHEN_CEILING:
+                raise UsageError("expand --form %s: r = %d is above the "
+                                 "limit of %d" % (spec, r, COHEN_CEILING))
+            return cohen_series(r, precision)
         if name == "phi":
             return phi(int(arg), precision)
         if name == "psi" and arg:
@@ -153,7 +159,7 @@ def _cmd_expand(args) -> int:
     if args.mod is not None:
         series = series.reduce_mod(args.mod)
     if args.json:
-        shown = replace(form, series=series) \
+        shown = form._replace(series=series) \
             if isinstance(form, NamedForm) else series
         text = json.dumps(shown.to_json_dict(), indent=2)
     else:

@@ -27,7 +27,7 @@ tests hold the series against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -67,16 +67,14 @@ def forbidden_residues(k: int) -> tuple[int, int]:
     return (2, 3) if k % 2 == 0 else (1, 2)
 
 
-@dataclass(frozen=True)
-class PlusForm:
+class PlusForm(namedtuple("PlusForm", "series meta k")):
     """A form of weight k + 1/2 satisfying the plus condition:
     the q^n coefficient vanishes whenever (-1)^k n = 2, 3 mod 4."""
 
-    series: QSeries
-    meta: FormMeta
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.meta.twice_weight != 2 * self.k + 1:
             raise ValueError("meta weight disagrees with k")
         bad = forbidden_residues(self.k)
@@ -87,6 +85,7 @@ class PlusForm:
                 "nonzero coefficient %s at q^%d (n = %d mod 4)"
                 % (self.series.coefficient(n), n, n % 4)
             )
+        return self
 
 
 @lru_cache(maxsize=4096)

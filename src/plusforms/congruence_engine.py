@@ -31,7 +31,7 @@ compares them alone, forming no product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from math import gcd, lcm
 
@@ -73,17 +73,13 @@ def sturm_bound(twice_weight: int, level: int) -> int:
     return (prod + 23) // 24 + 1
 
 
-@dataclass(frozen=True)
-class SturmPlan:
+class SturmPlan(namedtuple("SturmPlan",
+                           "strategy t r_weights twice_weight level")):
     """The integral-weight pair a half-integral pair is checked on: the
-    strategy, the R_t gap t, the R weights on (lhs, rhs), and the pair's
-    twice-weight and level."""
+    strategy (theta_integralize | squared), the R_t gap t, the R weights on
+    (lhs, rhs), and the pair's twice-weight and level."""
 
-    strategy: str                    # theta_integralize | squared
-    t: int
-    r_weights: tuple[int, int]
-    twice_weight: int
-    level: int
+    __slots__ = ()
 
     def check_modulus(self, m: int) -> None:
         """R_t is identically 1 mod 3 only, so a gap t > 0 needs m = 3."""
@@ -126,21 +122,14 @@ def equalize_and_integralize(lhs: NamedForm, rhs: NamedForm,
     return (*sides, plan.twice_weight, plan.level)
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
-    lhs_name: str
-    rhs_name: str
-    modulus: int
-    bound_used: int
-    weight_equalizer: int | None
-    strategy: str
-    status: str                      # verified | mismatch | insufficient_precision
-    unit: int | None = None
-    first_n: int | None = None
-    lhs_value: int | None = None
-    rhs_value: int | None = None
-    required: int | None = None
-    available: int | None = None
+class CongruenceReport(namedtuple(
+        "CongruenceReport", "lhs_name rhs_name modulus bound_used "
+        "weight_equalizer strategy status unit first_n lhs_value rhs_value "
+        "required available", defaults=(None,) * 6)):
+    """status is verified | mismatch | insufficient_precision; the fields
+    from unit on default to None."""
+
+    __slots__ = ()
 
     @property
     def verified(self) -> bool:

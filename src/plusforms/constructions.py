@@ -13,7 +13,7 @@ a failure there is a build error, not a condition to handle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -55,12 +55,8 @@ class SupportError(ValueError):
     """A named form has a nonzero coefficient outside its claimed support."""
 
 
-@dataclass(frozen=True)
-class NamedForm:
-    name: str
-    series: QSeries
-    meta: FormMeta
-    trace: OperatorTrace
+class NamedForm(namedtuple("NamedForm", "name series meta trace")):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         payload = self.series.to_json_dict()

@@ -9,7 +9,7 @@ dimension of level-one cusp spaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
@@ -21,32 +21,30 @@ class Weight2EmptyError(ValueError):
     """M_2 at level one is zero; there is no basis to hand out."""
 
 
-@dataclass(frozen=True)
-class FormMeta:
+class FormMeta(namedtuple("FormMeta", "twice_weight level_bound character",
+                          defaults=("trivial",))):
     """Weight (stored doubled so half-integral weights stay integral),
     a conservative level bound, and a character label."""
 
-    twice_weight: int
-    level_bound: int
-    character: str = "trivial"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.twice_weight < 0:
             raise ValueError("negative weight")
         if self.level_bound < 1:
             raise ValueError("level bound must be >= 1")
+        return self
 
     @property
     def weight(self) -> Fraction:
         return Fraction(self.twice_weight, 2)
 
 
-@dataclass(frozen=True)
-class Form:
+class Form(namedtuple("Form", "series meta")):
     """A q-expansion together with its weight/level metadata."""
 
-    series: QSeries
-    meta: FormMeta
+    __slots__ = ()
 
     def scaled(self, c) -> "Form":
         return Form(self.series.scale(c), self.meta)

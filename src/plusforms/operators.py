@@ -12,7 +12,7 @@ upper bounds only - that is all a Sturm cutoff needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import cycle
 from math import lcm
 
@@ -26,28 +26,26 @@ class NotOddPrimeError(ValueError):
     """The Hecke operator index must be an odd prime."""
 
 
-@dataclass(frozen=True)
-class OperatorTrace:
+class OperatorTrace(namedtuple("OperatorTrace",
+                               "description level_bound_out")):
     """Applied-operator tags plus the resulting conservative level bound."""
 
-    description: tuple[str, ...]
-    level_bound_out: int
+    __slots__ = ()
 
     def extended(self, tag: str, level: int) -> "OperatorTrace":
         return OperatorTrace(self.description + (tag,), level)
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(namedtuple("Character", "modulus values label")):
     """A residue character given by its value table mod `modulus`."""
 
-    modulus: int
-    values: tuple[int, ...]
-    label: str
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.modulus < 1 or len(self.values) != self.modulus:
             raise ValueError("value table must have length = modulus")
+        return self
 
     def __call__(self, n: int) -> int:
         return self.values[n % self.modulus]

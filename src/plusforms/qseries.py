@@ -5,8 +5,10 @@ A series is one dense integer row `nums` over one positive denominator
 length is the precision P (exponents 0..P-1 are known).  Over Q the row is
 in lowest terms, gcd(den, *nums) = 1, so equal series have equal rows; over
 Z/m it holds residues in [0, m) over den = 1.  `coeffs` is the read view:
-Fractions over Q, residues over Z/m.  Values are immutable, and precision
-propagates as the minimum across operands.
+Fractions over Q, residues over Z/m.  A QSeries is a slotted value type:
+its fields (ring, nums, den) cannot be assigned, and equality, hash, pickle
+and copy go by their values.  Precision propagates as the minimum across
+operands.
 
 Operations touch only integers.  A sum brings both rows to the lcm of the
 denominators, a scaling multiplies row and denominator, and one gcd brings a
@@ -25,7 +27,7 @@ a failing check scans for the first offending exponent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -47,15 +49,16 @@ class NonIntegralCoefficientError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class RingTag:
+class RingTag(namedtuple("RingTag", "modulus", defaults=(None,))):
     """Coefficient ring: exact rationals (modulus=None) or Z/mZ (modulus=m)."""
 
-    modulus: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.modulus is not None and self.modulus < 2:
             raise ValueError("modulus must be >= 2, got %r" % (self.modulus,))
+        return self
 
     @property
     def is_rational(self) -> bool:
@@ -149,16 +152,13 @@ def _coerce(ring: RingTag, value):
     return value % ring.modulus
 
 
-@dataclass(frozen=True, init=False)
 class QSeries:
     """A truncated q-expansion sum(nums[n] / den * q^n, 0 <= n < precision).
 
     QSeries(ring, coeffs) takes ints, and Fractions over Q; from_row takes
     an integer row over a denominator."""
 
-    ring: RingTag
-    nums: tuple
-    den: int
+    __slots__ = ("ring", "nums", "den")
 
     def __init__(self, ring: RingTag, coeffs):
         object.__setattr__(self, "ring", ring)
@@ -182,6 +182,28 @@ class QSeries:
         object.__setattr__(self, "nums", tuple(nums))
         object.__setattr__(self, "den", den)
         return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ring, self.nums, self.den) == \
+            (other.ring, other.nums, other.den)
+
+    def __hash__(self):
+        return hash((self.ring, self.nums, self.den))
+
+    def __repr__(self):
+        return "QSeries(ring=%r, nums=%r, den=%r)" % (self.ring, self.nums,
+                                                      self.den)
+
+    def __reduce__(self):
+        return QSeries.from_row, (self.ring, self.nums, self.den)
 
     # -- constructors ------------------------------------------------------
 

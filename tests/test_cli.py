@@ -368,6 +368,23 @@ class TestOtherCommands:
         assert code == 0
         assert json.loads(out) == {"n": 10 ** 9, "hurwitz": "1/3"}
 
+    def test_expand_cohen_above_the_ceiling(self, capsys, monkeypatch):
+        def refuse(r, precision):
+            raise AssertionError("cohen_series(%d) ran past the ceiling" % r)
+
+        monkeypatch.setattr(cli, "cohen_series", refuse)
+        code, out, err = run(capsys, "expand", "--form", "cohen:101",
+                             "--prec", "10")
+        assert code == 64 and out == ""
+        assert "r = 101" in err
+        # the ceiling itself is accepted
+        monkeypatch.setattr(cli, "cohen_series",
+                            lambda r, precision: cli.theta(precision))
+        code, out, _ = run(capsys, "expand", "--form", "cohen:100",
+                           "--prec", "10")
+        assert code == 0 and out.splitlines() == ["0\t1", "1\t2", "4\t2",
+                                                  "9\t2"]
+
     def test_classnum_usage(self, capsys):
         code, _, _ = run(capsys, "classnum", "--d", "5")
         assert code == 64
