@@ -1,8 +1,9 @@
 """Discriminant sieves and density censuses.
 
 The census takes fundamental discriminants from strided slices of
-arith.squarefree_flags and its class numbers h(-D) from
-class_numbers.class_number_table, one table per class of FIELD_CLASSES.
+arith.squarefree_flags and its class numbers h(-D) from class_number_table,
+the reduced-form count of class_numbers.form_counts read at field
+discriminants, one table per class of FIELD_CLASSES.
 Each field discriminant -4D, -D or -D/4 of a census D (D = 1 mod 3) lies
 in exactly one of them: 4D = 4 mod 48 up to 4x for D = 1 mod 4,
 D = 40 mod 48 up to x for D = 8 mod 16, and D/4 = 7 mod 12 up to x/4 for
@@ -22,7 +23,7 @@ from math import gcd
 from typing import TYPE_CHECKING, Iterator
 
 from .arith import factorize, squarefree_flags
-from .class_numbers import class_number_table
+from .class_numbers import form_counts
 
 if TYPE_CHECKING:
     import numpy as np
@@ -135,6 +136,20 @@ def _census_population(x: int):
     field = np.where(ds % 4 == 1, -4 * ds,
                      np.where(quarters % 4 == 2, -ds, -quarters))
     return ds, field
+
+
+def class_number_table(limit: int, modulus: int = 1,
+                       residue: int = 0) -> np.ndarray:
+    """h(-d) for every fundamental -d with 1 <= d <= limit and d = residue
+    mod modulus, indexed as in class_numbers.form_counts.
+
+    The entries are the counts N(d) of all reduced forms of discriminant
+    -d.  A form (a, b, c) with g = gcd(a, b, c) > 1 is g times a form of
+    discriminant -d / g^2, and a fundamental -d has no discriminant -d / g^2
+    with g > 1, so at fundamental -d every counted form is primitive and
+    N(d) = h(-d).  The census reads no other entry; elsewhere N(d) counts
+    the imprimitive forms too."""
+    return form_counts(limit, modulus, residue)
 
 
 def _census_classes(x: int):

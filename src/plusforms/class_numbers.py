@@ -1,15 +1,14 @@
 """Fundamental discriminants, class numbers and Hurwitz numbers.
 
-One batch engine, _count_forms, counts every reduced form of discriminant
--d, primitive or not, along one class d = r mod s, one numpy batch per
-first coefficient a: the forms (a, +-beta, c) in the class lie on one
-arithmetic run of indices per root beta of beta^2 = -r mod gcd(4a, s), and
-one np.add.at adds all the runs of an a.  Two tables read it:
-class_number_table takes primitive class numbers h(-d) by a Mobius
-inversion over square divisors f^2 | d, which is exact only on some
-classes with s | 48 (its docstring names them);
-hurwitz_numbers takes the Hurwitz numbers H(n) directly, weighting
-(a, 0, a) by 1/2 and (a, a, a) by 1/3, for any s.
+One batch engine, form_counts, counts every reduced form of discriminant
+-d, primitive or not, along one class d = r mod s (any s >= 1), one numpy
+batch per first coefficient a: the forms (a, +-beta, c) in the class lie on
+one arithmetic run of indices per root beta of beta^2 = -r mod gcd(4a, s),
+and one np.add.at adds all the runs of an a.  Two tables read it: the
+census reads the count as h(-d) at fundamental -d, where every reduced form
+is primitive (census.class_number_table says why), and hurwitz_numbers
+takes the Hurwitz numbers H(n), weighting (a, 0, a) by 1/2 and (a, a, a)
+by 1/3.
 
 form_class_number and hurwitz_weighted_form_count enumerate the reduced
 forms of one discriminant at a time; they are the oracles the tests hold
@@ -17,9 +16,9 @@ the engine against, and class_number_of_field reads form_class_number.
 Generalized Bernoulli numbers, over the rows of arith.kronecker_row, give
 an independent route to h through h(D) = -B_{1,chi_D}.
 
-numpy is imported inside _count_forms, where the count array is built, and
-nowhere else, so only class_number_table, hurwitz_numbers and hurwitz load
-it; every other routine here works on Python ints.
+numpy is imported inside form_counts, where the count array is built, and
+nowhere else, so only form_counts, hurwitz_numbers and hurwitz load it;
+every other routine here works on Python ints.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from functools import lru_cache
 from math import comb, gcd, isqrt, lcm
 from typing import TYPE_CHECKING
 
-from .arith import fundamental_part, is_prime, kronecker_row
+from .arith import fundamental_part, kronecker_row
 from .arith import kronecker  # noqa: F401 (re-exported)
 from .level_one_forms import bernoulli
 
@@ -79,7 +78,8 @@ def _reduced_forms(disc: int):
 @lru_cache(maxsize=4096)
 def form_class_number(disc: int) -> int:
     """Number of primitive reduced forms of discriminant disc < 0, one
-    discriminant at a time: the oracle for class_number_table.
+    discriminant at a time: the oracle the batch form count is tested
+    against.
 
     Valid for any negative integer disc congruent to 0 or 1 mod 4.
     """
@@ -136,10 +136,12 @@ def gen_bernoulli(r: int, d: int) -> Fraction:
 # -- the batch engine: class numbers and Hurwitz numbers -------------------
 
 
-def _count_forms(limit: int, modulus: int, first: int) -> np.ndarray:
+def form_counts(limit: int, modulus: int = 1,
+                residue: int = 0) -> np.ndarray:
     """N(d), the number of reduced forms of discriminant -d, primitive or
-    not, for d <= limit in the class of first mod modulus, at index
-    (d - first) // modulus.
+    not, for 1 <= d <= limit with d = residue mod modulus (any modulus >=
+    1), at index (d - d0) // modulus where d0 is the least positive member
+    of the class (index d - 1 by default).  Zero unless d is 0 or 3 mod 4.
 
     For each a, the forms (a, +-beta, c) in the class have c = c0 mod
     modulus / g, g = gcd(4a, modulus), so beta's run of indices starts at
@@ -150,12 +152,15 @@ def _count_forms(limit: int, modulus: int, first: int) -> np.ndarray:
     int64, and its largest product stays under modulus^2."""
     import numpy as np
 
+    if modulus < 1:
+        raise ValueError("modulus must be >= 1")
     if modulus * modulus >= 1 << 63:
         raise ValueError("modulus %d is too large for the form count's "
                          "int64 arithmetic" % modulus)
+    first = (residue - 1) % modulus + 1
     size = max(0, (limit - first) // modulus + 1)
     counts = np.zeros(size, np.int32)
-    top = isqrt(limit // 3)
+    top = isqrt(max(limit, 0) // 3)
     shifted = first + np.arange(top + 1) ** 2  # first + beta^2
     residues = shifted % modulus
     for a in range(1, top + 1):
@@ -181,66 +186,22 @@ def _count_forms(limit: int, modulus: int, first: int) -> np.ndarray:
     return counts
 
 
-def _mobius_class(modulus: int, residue: int) -> bool:
-    if modulus < 1 or 48 % modulus or 24 * residue % modulus:
-        return False
-    if modulus % 3 == 0 and residue % 3 == 0:
-        return False
-    return (modulus % 2 or residue % 2 == 1
-            or (modulus % 16 == 0 and residue % 16 in (4, 8)))
-
-
-def class_number_table(limit: int, modulus: int = 1,
-                       residue: int = 0) -> np.ndarray:
-    """h(-d) for 1 <= d <= limit with d = residue mod modulus, at index
-    (d - d0) // modulus where d0 is the least positive member of the class
-    (index d - 1 by default).  Zero unless d is 0 or 3 mod 4.
-
-    The Mobius step is exact only on some classes r mod s, and only those
-    are accepted: s | 48 and s | 24 r, so that d / p^2 stays in the class
-    for every prime p prime to s; and the primes 2, 3 that divide s never
-    contribute, because 3 does not divide r when 3 | s, and when 2 | s
-    either r is odd or 16 | s with r = 4, 8 mod 16 (then d / 4 = 1, 2 mod 4
-    is no discriminant)."""
-    if not _mobius_class(modulus, residue):
-        raise ValueError("the Mobius step over f^2 is not exact on the "
-                         "class %d mod %d" % (residue, modulus))
-    first = (residue - 1) % modulus + 1
-    counts = _count_forms(limit, modulus, first)
-    # h(d) = sum over f^2 | d of mu(f) N(d / f^2), applied as one factor
-    # N(d) - N(d / p^2) per prime p; p^2 = 1 mod modulus for p prime to it,
-    # so d / p^2 lies in the class of d
-    for p in range(2, isqrt(limit // first) + 1):
-        if modulus % p == 0 or not is_prime(p):
-            continue
-        n = (limit // (p * p) - first) // modulus + 1
-        start = (p * p - 1) * first // modulus
-        counts[start:start + p * p * (n - 1) + 1:p * p] -= counts[:n]
-    return counts
-
-
 def hurwitz_numbers(limit: int, modulus: int = 1,
                     residue: int = 0) -> list[Fraction]:
-    """H(n) for 1 <= n <= limit with n = residue mod modulus (any
-    modulus >= 1), at index (n - n0) // modulus where n0 is the least
-    positive member of the class.
+    """H(n) for 1 <= n <= limit with n = residue mod modulus, indexed as in
+    form_counts.
 
     H(n) is the count N(n) of all reduced forms of discriminant -n, with
     (a, 0, a) weighted 1/2 and (a, a, a) weighted 1/3; those forms exist
     only at n = 4a^2 and n = 3a^2, one each.
     """
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
-    if limit < 1:
-        return []
-    first = (residue - 1) % modulus + 1
-    out = [Fraction(c) for c in
-           _count_forms(limit, modulus, first).tolist()]
+    out = [Fraction(c) for c in form_counts(limit, modulus, residue).tolist()]
     for scale, weight in ((4, Fraction(1, 2)), (3, Fraction(1, 3))):
-        for a in range(1, isqrt(limit // scale) + 1):
+        for a in range(1, isqrt(max(limit, 0) // scale) + 1):
             n = scale * a * a
-            if n % modulus == first % modulus:
-                out[(n - first) // modulus] -= 1 - weight
+            if (n - residue) % modulus == 0:
+                # n0 lies in [1, modulus], so (n - n0) // modulus is this
+                out[(n - 1) // modulus] -= 1 - weight
     return out
 
 

@@ -59,9 +59,17 @@ VERIFY_CEILING = 10 ** 6
 # the largest r expand --form cohen:r takes: the plus-space solve grows
 # steeply in r (cold, at --prec 10: 0.6 s at r = 100, 2.3 s at 150)
 COHEN_CEILING = 100
+# the largest cost estimate r^2 P^1.7 expand --form cohen:r --prec P takes:
+# cold, the solve takes about 5e-9 r^2 P^1.7 s on one Xeon core, so about
+# a minute at the limit ((50, 8000): 56 s, (20, 20000): 31 s)
+COHEN_COST_CEILING = 1.2e10
 # the largest N classnum --hurwitz takes: H(999999999) takes about 4 s on
 # one Xeon core
 HURWITZ_CEILING = 10 ** 9
+# the largest |D| classnum --d takes: the field discriminant is found by
+# trial division and h by walking every reduced (a, b), O(|D|) steps;
+# |D| = 10^8 takes about 4 s cold
+CLASSNUM_CEILING = 10 ** 8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -106,6 +114,20 @@ def _verify_precision(command: str, precision: int) -> int:
     return precision
 
 
+def _check_cohen(spec: str, r: int, precision: int) -> None:
+    """Refuse expand --form cohen:r at `precision` before the plus-space
+    solve when r or the solve's cost estimate is above its ceiling."""
+    if r > COHEN_CEILING:
+        raise UsageError("expand --form %s: r = %d is above the limit of %d"
+                         % (spec, r, COHEN_CEILING))
+    cost = r * r * precision ** 1.7
+    if cost > COHEN_COST_CEILING:
+        raise UsageError("expand --form %s --prec %d: the cost estimate "
+                         "r^2 P^1.7 = %.3g is above the limit of %.3g; "
+                         "choose a smaller --prec"
+                         % (spec, precision, cost, COHEN_COST_CEILING))
+
+
 def _open_output(path: str, **kwargs):
     try:
         return open(path, "w", **kwargs)
@@ -131,9 +153,7 @@ def _build_form(spec: str, precision: int):
             return theta(precision)
         if name == "cohen":
             r = int(arg)
-            if r > COHEN_CEILING:
-                raise UsageError("expand --form %s: r = %d is above the "
-                                 "limit of %d" % (spec, r, COHEN_CEILING))
+            _check_cohen(spec, r, precision)
             return cohen_series(r, precision)
         if name == "phi":
             return phi(int(arg), precision)
@@ -298,6 +318,9 @@ def _cmd_classnum(args) -> int:
         return EXIT_OK
     if args.d is None or args.d >= 0:
         raise UsageError("classnum needs --d D with D < 0, or --hurwitz N")
+    if -args.d > CLASSNUM_CEILING:
+        raise UsageError("classnum --d %d is below the limit of -%d"
+                         % (args.d, CLASSNUM_CEILING))
     h = class_number_of_field(args.d)
     print(json.dumps({
         "d": args.d,

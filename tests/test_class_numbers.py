@@ -169,9 +169,9 @@ class TestHurwitz:
     def test_no_form_count_where_no_discriminant_exists(self, monkeypatch):
         # -n is no discriminant for n = 1, 2 mod 4: H(n) = 0 without a walk
         def refuse(*args):
-            raise AssertionError("_count_forms called for %r" % (args,))
+            raise AssertionError("form_counts called for %r" % (args,))
 
-        monkeypatch.setattr(class_numbers, "_count_forms", refuse)
+        monkeypatch.setattr(class_numbers, "form_counts", refuse)
         for n in range(3000):
             if n % 4 in (1, 2):
                 assert hurwitz(n) == hurwitz_weighted_form_count(n) == 0, n

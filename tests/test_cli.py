@@ -368,6 +368,23 @@ class TestOtherCommands:
         assert code == 0
         assert json.loads(out) == {"n": 10 ** 9, "hurwitz": "1/3"}
 
+    def test_classnum_d_below_the_ceiling(self, capsys, monkeypatch):
+        def refuse(d):
+            raise AssertionError("D = %d was worked on past the ceiling" % d)
+
+        monkeypatch.setattr(cli, "class_number_of_field", refuse)
+        monkeypatch.setattr(cli, "field_discriminant", refuse)
+        code, out, err = run(capsys, "classnum", "--d", "-10000000019")
+        assert code == 64 and out == ""
+        assert "-10000000019" in err
+        # the ceiling itself is accepted
+        monkeypatch.setattr(cli, "class_number_of_field", lambda d: 4)
+        monkeypatch.setattr(cli, "field_discriminant", lambda d: d)
+        code, out, _ = run(capsys, "classnum", "--d", "-100000000")
+        assert code == 0
+        assert json.loads(out) == {"d": -10 ** 8, "h": 4, "h_mod_3": 1,
+                                   "field_discriminant": -10 ** 8}
+
     def test_expand_cohen_above_the_ceiling(self, capsys, monkeypatch):
         def refuse(r, precision):
             raise AssertionError("cohen_series(%d) ran past the ceiling" % r)
@@ -384,6 +401,31 @@ class TestOtherCommands:
                            "--prec", "10")
         assert code == 0 and out.splitlines() == ["0\t1", "1\t2", "4\t2",
                                                   "9\t2"]
+
+    @pytest.mark.parametrize("r,prec", [(100, 10000), (50, 100000),
+                                        (2, 1000000)])
+    def test_expand_cohen_above_the_cost_ceiling(self, capsys, monkeypatch,
+                                                 r, prec):
+        def refuse(r, precision):
+            raise AssertionError("cohen_series(%d, %d) ran past the ceiling"
+                                 % (r, precision))
+
+        monkeypatch.setattr(cli, "cohen_series", refuse)
+        code, out, err = run(capsys, "expand", "--form", "cohen:%d" % r,
+                             "--prec", str(prec))
+        assert code == 64 and out == ""
+        assert "--prec %d" % prec in err and "cost estimate" in err
+
+    @pytest.mark.parametrize("r,prec", [(100, 2000), (50, 8000),
+                                        (20, 20000), (2, 300000)])
+    def test_expand_cohen_below_the_cost_ceiling(self, capsys, monkeypatch,
+                                                 r, prec):
+        built = []
+        monkeypatch.setattr(cli, "cohen_series", lambda r, precision:
+                            built.append((r, precision)) or cli.theta(1))
+        code, _, _ = run(capsys, "expand", "--form", "cohen:%d" % r,
+                         "--prec", str(prec))
+        assert code == 0 and built == [(r, prec)]
 
     def test_classnum_usage(self, capsys):
         code, _, _ = run(capsys, "classnum", "--d", "5")
