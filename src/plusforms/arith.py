@@ -8,10 +8,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import isqrt, prod
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _KRON2 = {0: 0, 1: 1, 2: 0, 3: -1, 4: 0, 5: -1, 6: 0, 7: 1}
 
@@ -146,7 +142,7 @@ def sigma_table(e: int, precision: int) -> list[int]:
     return table
 
 
-def squarefree_flags(limit: int) -> np.ndarray:
+def squarefree_flags(limit: int):
     """flags[n] (0 <= n <= limit) says whether n >= 1 is squarefree."""
     import numpy as np
 

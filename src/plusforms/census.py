@@ -20,13 +20,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd
-from typing import TYPE_CHECKING, Iterator
 
 from .arith import factorize, squarefree_flags
 from .class_numbers import form_counts
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # (modulus, residue) of the classes of -field the census reads h from
 FIELD_CLASSES = ((48, 4), (48, 40), (12, 7))
@@ -63,7 +59,7 @@ def starstar_ok(m: int, n: int) -> bool:
     return True
 
 
-def _fundamental_mask(x: int, sign: int) -> np.ndarray:
+def _fundamental_mask(x: int, sign: int):
     # mask[j] for D = sign * j: D = 1 mod 4 squarefree, or D = 4m with
     # m = 2, 3 mod 4 squarefree; strided slices, no index temporaries
     import numpy as np
@@ -78,12 +74,12 @@ def _fundamental_mask(x: int, sign: int) -> np.ndarray:
     return mask
 
 
-def fundamental_negative_mask(x: int) -> np.ndarray:
+def fundamental_negative_mask(x: int):
     """mask[j] (1 <= j < x) says whether D = -j is a fundamental discriminant."""
     return _fundamental_mask(x, -1)
 
 
-def fundamental_positive_mask(x: int) -> np.ndarray:
+def fundamental_positive_mask(x: int):
     """mask[d] (1 <= d < x) says whether d is a fundamental discriminant."""
     return _fundamental_mask(x, 1)
 
@@ -139,7 +135,7 @@ def _census_population(x: int):
 
 
 def class_number_table(limit: int, modulus: int = 1,
-                       residue: int = 0) -> np.ndarray:
+                       residue: int = 0):
     """h(-d) for every fundamental -d with 1 <= d <= limit and d = residue
     mod modulus, indexed as in class_numbers.form_counts.
 
@@ -168,7 +164,7 @@ def _census_classes(x: int):
     return ds, field, h
 
 
-def _tally(x: int, h: np.ndarray) -> CensusReport:
+def _tally(x: int, h) -> CensusReport:
     nonvanishing = int((h % 3 != 0).sum())
     n2m = n2minus(x, 1, 3)
     return CensusReport(
@@ -182,7 +178,7 @@ def _tally(x: int, h: np.ndarray) -> CensusReport:
     )
 
 
-def _rows(ds, field, h) -> Iterator[tuple[int, int, int, int]]:
+def _rows(ds, field, h):
     # iterating a memoryview yields Python ints without a list per column,
     # which would raise the census's peak memory
     return zip(memoryview(ds), memoryview(field), memoryview(h),

@@ -27,14 +27,10 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt, lcm
-from typing import TYPE_CHECKING
 
 from .arith import fundamental_part, kronecker_row
 from .arith import kronecker  # noqa: F401 (re-exported)
 from .level_one_forms import bernoulli
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class NonNegativeInputError(ValueError):
@@ -137,7 +133,7 @@ def gen_bernoulli(r: int, d: int) -> Fraction:
 
 
 def form_counts(limit: int, modulus: int = 1,
-                residue: int = 0) -> np.ndarray:
+                residue: int = 0):
     """N(d), the number of reduced forms of discriminant -d, primitive or
     not, for 1 <= d <= limit with d = residue mod modulus (any modulus >=
     1), at index (d - d0) // modulus where d0 is the least positive member

@@ -70,6 +70,9 @@ HURWITZ_CEILING = 10 ** 9
 # trial division and h by walking every reduced (a, b), O(|D|) steps;
 # |D| = 10^8 takes about 4 s cold
 CLASSNUM_CEILING = 10 ** 8
+# the largest x census --x takes: time grows as x^(3/2) and memory linearly;
+# cold on one Xeon core, x = 5 * 10^7 takes 74 s and 303 MB (4 * 10^7: 40 s)
+CENSUS_CEILING = 5 * 10 ** 7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -212,10 +215,19 @@ def _verify_pair(target, precision, units) -> CongruenceReport:
 
 
 def _verify_remark3(precision, units) -> CongruenceReport:
+    """The weight-13/2 cusp line against theta off multiples of 3, compared
+    mod 3 at --prec (300 by default); a depth below the Sturm bound of
+    their sturm_plan (43) is insufficient precision."""
     precision = _verify_precision("verify remark3",
                                   300 if precision is None else precision)
     lhs = cusp_line_13_half(precision)
     rhs = theta_off_multiples_of_three(precision)
+    plan = sturm_plan(lhs.meta, rhs.meta)
+    bound = sturm_bound(plan.twice_weight, plan.level)
+    if precision < bound:
+        return CongruenceReport(lhs.name, rhs.name, 3, bound, None, "direct",
+                                "insufficient_precision", required=bound,
+                                available=precision)
     return direct_report(lhs.name, rhs.name, lhs.series.reduce_mod(3),
                          rhs.series.reduce_mod(3), precision, units)
 
@@ -292,6 +304,9 @@ def _cmd_census(args) -> int:
         raise UsageError("--x must be at least 12")
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
+    if args.x > CENSUS_CEILING:
+        raise UsageError("census --x %d is above the limit of %d"
+                         % (args.x, CENSUS_CEILING))
     if args.csv:
         with _open_output(args.csv, newline="") as fh:
             report, rows = census_with_rows(args.x)

@@ -5,12 +5,17 @@ M_{k+1/2}(Gamma_0(4)) is spanned by the integer rows theta^a F_2^b with
 a + 4b = 2k + 1, where F_2 = sum(sigma_1(n) q^n) over odd n.  The plus
 space M+_{k+1/2} is cut out of it by the linear conditions that the q^n
 coefficient vanishes whenever (-1)^k n = 2, 3 mod 4.  plus_space_basis
-solves those conditions once per weight as a small exact system on the
-first few coefficients, and checks that the kernel has Kohnen's dimension
-dim M+_{k+1/2} = dim M_{2k} = 1 + dim S_{2k} (k >= 2).  Every plus form
-lies in the kernel of any finite set of plus conditions, so a kernel of
-that dimension is the plus space itself: the solve proves its result.  The
-basis is evaluated over Z with one common denominator at full precision.
+solves those conditions once per weight on the first few coefficients, in
+one exact elimination.  Integer back-substitution turns the rows into forms
+g_b = q^b + O(q^size); one echelon of the allowed g_b, read first at the
+forbidden coefficients, then at the allowed q^b, then at their coordinates
+in the rows, leaves the echelon basis of the kernel in the rows that pivot
+past the forbidden block.  Their number is checked against Kohnen's
+dimension dim M+_{k+1/2} = dim M_{2k} = 1 + dim S_{2k} (k >= 2).  Every
+plus form lies in the kernel of any finite set of plus conditions, so a
+kernel of that dimension is the plus space itself: the solve proves its
+result.  The basis is evaluated over Z with one common denominator at full
+precision.
 
 A plus form is fixed by its coefficients at the basis pivots, so the
 Eisenstein series H_{r+1/2} = sum(H(r, N) q^N) needs only the single values
@@ -43,7 +48,7 @@ from .arith import (
 from .class_numbers import gen_bernoulli, hurwitz, hurwitz_numbers
 from .level_one_forms import Form, FormMeta, bernoulli, dim_s
 from .operators import dilate4, v4_precision
-from .qseries import QSeries, RATIONAL, _kronecker
+from .qseries import QSeries, RATIONAL
 
 
 class ResidueConditionViolatedError(ValueError):
@@ -120,45 +125,36 @@ def cohen_h(r: int, n: int) -> Fraction:
     return _l_value(r, d) * acc
 
 
-def _theta_row(precision: int) -> list[int]:
-    row = [0] * precision
-    row[0] = 1
-    n = 1
-    while n * n < precision:
-        row[n * n] = 2
-        n += 1
-    return row
-
-
-def _graded_rows(k: int, precision: int) -> list[list[int]]:
+def _graded_rows(k: int, precision: int) -> list[tuple[int, ...]]:
     """theta^(eps + 4j) F_2^b for b = 0..top and j = top - b, where
     2k + 1 = 4 top + eps, as integer rows of length `precision`; row b
     starts at q^b, so the rows are independent."""
     top, eps = divmod(2 * k + 1, 4)
-    th = _theta_row(precision)
-    th2 = _kronecker(th, th)
-    th4 = _kronecker(th2, th2)
-    leads = [th if eps == 1 else _kronecker(th2, th)]
+    th = theta(precision).series
+    th2 = th * th
+    th4 = th2 * th2
+    leads = [th if eps == 1 else th2 * th]
     for _ in range(top):
-        leads.append(_kronecker(leads[-1], th4))
-    f2 = [s if n % 2 else 0 for n, s in enumerate(sigma_table(1, precision))]
+        leads.append(leads[-1] * th4)
+    f2 = QSeries.from_row(RATIONAL, [s if n % 2 else 0 for n, s in
+                                     enumerate(sigma_table(1, precision))])
     powers = [f2]
     for _ in range(top - 1):
-        powers.append(_kronecker(powers[-1], f2))
-    return [leads[top]] + [_kronecker(leads[top - b], powers[b - 1])
-                           for b in range(1, top + 1)]
+        powers.append(powers[-1] * f2)
+    return [leads[top].nums] + [(leads[top - b] * powers[b - 1]).nums
+                                for b in range(1, top + 1)]
 
 
-def _echelon(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q: the nonzero rows, each with leading
-    coefficient 1, and their pivot columns.  The elimination runs on
-    integer rows with each row's content divided out, so its inner loop
-    makes no Fraction."""
-    work = [list(QSeries.rational(row).nums) for row in rows]
+def _echelon(work: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over Q of integer rows, rewritten in place:
+    the nonzero rows, scaled to integers with content 1, and their pivot
+    columns.  No Fraction is made, and the smallest pivot on offer keeps the
+    integers short (the first nonzero one is ten times slower at k = 100)."""
     pivots: list[int] = []
-    for col in range(len(work[0]) if work else 0):
+    for col in range(len(work[0])):
         rank = len(pivots)
-        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        piv = min((i for i in range(rank, len(work)) if work[i][col]),
+                  key=lambda i: abs(work[i][col]), default=None)
         if piv is None:
             continue
         work[rank], work[piv] = work[piv], work[rank]
@@ -170,11 +166,10 @@ def _echelon(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
                 content = gcd(*row)
                 work[i] = [a // content for a in row] if content > 1 else row
         pivots.append(col)
-    return [[Fraction(v, row[col]) for v in row]
-            for row, col in zip(work, pivots)], pivots
+    return work[:len(pivots)], pivots
 
 
-def _combination(rows: list[list[int]], coord, length: int) -> QSeries:
+def _combination(rows: list[tuple], coord, length: int) -> QSeries:
     """The first `length` entries of sum(coord[b] * rows[b]) for integer
     rows and rational coord, formed over Z with one common denominator."""
     weights = QSeries.rational(coord)
@@ -184,7 +179,7 @@ def _combination(rows: list[list[int]], coord, length: int) -> QSeries:
 
 
 def _plus_space(k: int, precision: int) -> tuple[
-        list[list[int]], list[int], list[tuple[Fraction, ...]]]:
+        list[tuple[int, ...]], list[int], list[tuple[Fraction, ...]]]:
     """The graded rows, at least `precision` long, the echelon pivots n_i
     of M+_{k+1/2}, and the coordinates of each basis form in the rows."""
     if k < 2:
@@ -199,7 +194,7 @@ def _plus_space(k: int, precision: int) -> tuple[
     # row b is q^b + O(q^(b+1)), so integer back-substitution gives forms
     # g_b = q^b + O(q^size); each carries its coordinates in the rows
     # behind its first `length` coefficients
-    head = [row[:length] + [int(b == c) for c in range(size)]
+    head = [list(row[:length]) + [int(b == c) for c in range(size)]
             for b, row in enumerate(rows)]
     for b in range(size - 2, -1, -1):
         for c in range(b + 1, size):
@@ -207,30 +202,23 @@ def _plus_space(k: int, precision: int) -> tuple[
             if f:
                 head[b] = [u - f * v for u, v in zip(head[b], head[c])]
     # sum(x_b g_b) is a plus form below q^length iff x_b = 0 at forbidden
-    # b < size and the forbidden coefficients from q^size on vanish
+    # b < size and the forbidden coefficients from q^size on vanish; g_b
+    # reads x_b at the allowed q^b, so the dim(allowed) - rank(forbidden)
+    # rows that pivot past the forbidden block are the echelon basis
     bad = forbidden_residues(k)
     unknowns = [b for b in range(size) if b % 4 not in bad]
-    conditions, bound = _echelon(
-        [[head[b][n] for b in unknowns]
-         for n in range(size, length) if n % 4 in bad])
-    free = [j for j in range(len(unknowns)) if j not in bound]
-    if len(free) != 1 + dim_s(2 * k):
+    columns = [n for n in range(size, length) if n % 4 in bad] + unknowns
+    skip = len(columns) - len(unknowns)
+    echelon, pivots = _echelon([[head[b][n] for n in columns]
+                                + head[b][length:] for b in unknowns])
+    basis = [(columns[col], tuple(Fraction(v, row[col]) for v in row[-size:]))
+             for row, col in zip(echelon, pivots) if col >= skip]
+    if len(basis) != 1 + dim_s(2 * k):
         raise PlusSpaceDimensionError(
             "the plus conditions on %d coefficients leave dimension %d in "
             "weight %d/2, not 1 + dim S_%d = %d"
-            % (length, len(free), 2 * k + 1, 2 * k, 1 + dim_s(2 * k)))
-    kernel = []
-    for f in free:
-        x = [Fraction(int(j == f)) for j in range(len(unknowns))]
-        for condition, j in zip(conditions, bound):
-            x[j] = -condition[f]
-        kernel.append(x)
-    # below q^size the form sum(x_b g_b) has coefficients x_b, so the
-    # echelon form of the kernel is the echelon basis of the plus space
-    echelon, pivots = _echelon(kernel)
-    tails = [head[b][length:] for b in unknowns]
-    return (rows, [unknowns[j] for j in pivots],
-            [_combination(tails, row, size).coeffs for row in echelon])
+            % (length, len(basis), 2 * k + 1, 2 * k, 1 + dim_s(2 * k)))
+    return rows, [n for n, _ in basis], [coord for _, coord in basis]
 
 
 def plus_space_basis(k: int, precision: int) -> list[tuple[int, PlusForm]]:
@@ -271,8 +259,10 @@ def theta(precision: int) -> Form:
     """1 + 2 sum(q^(n^2)), weight 1/2 on level 4."""
     if precision < 1:
         raise ValueError("precision must be positive")
-    return Form(QSeries.from_row(RATIONAL, _theta_row(precision)),
-                FormMeta(1, 4))
+    row = [0] * precision
+    for n in range(isqrt(precision - 1) + 1):
+        row[n * n] = 2 if n else 1
+    return Form(QSeries.from_row(RATIONAL, row), FormMeta(1, 4))
 
 
 def g_ab(a: int, b: int, precision: int) -> Form:

@@ -108,6 +108,25 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["unit"] == 1
 
+    def test_remark3_below_its_sturm_bound_is_insufficient(self, capsys):
+        # the pair (13/2, level 4) against (1/2, level 36) is planned as
+        # theta_integralize with t = 6, whose Sturm bound is 43
+        code, out, err = run(capsys, "verify", "remark3", "--prec", "42")
+        assert code == 2
+        report = json.loads(out)
+        assert (report["status"], report["required"], report["available"]) \
+            == ("insufficient_precision", 43, 42)
+        assert err.startswith("INSUFFICIENT_PRECISION")
+        code, out, _ = run(capsys, "verify", "remark3", "--prec", "43")
+        assert code == 0
+        assert json.loads(out)["status"] == "verified"
+
+    def test_remark3_depth_is_read_after_the_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("PLUSFORMS_PREC_CAP", "42")
+        code, out, _ = run(capsys, "verify", "remark3")
+        assert code == 2
+        assert json.loads(out)["available"] == 42
+
     def test_remark3_unit_2_reports_first_mismatch(self, capsys):
         code, out, _ = run(capsys, "verify", "remark3", "--prec", "120",
                            "--unit", "2")
@@ -341,6 +360,26 @@ class TestCensusCommand:
     def test_too_small_x(self, capsys):
         code, _, _ = run(capsys, "census", "--x", "10")
         assert code == 64
+
+    def test_census_above_the_ceiling(self, capsys, tmp_path, monkeypatch):
+        def refuse(x):
+            raise AssertionError("the census ran past the ceiling at %d" % x)
+
+        monkeypatch.setattr(cli, "census_with_rows", refuse)
+        monkeypatch.setattr(cli, "nonvanishing_census", refuse)
+        above = str(cli.CENSUS_CEILING + 1)
+        target = tmp_path / "rows.csv"
+        for extra in ([], ["--csv", str(target)]):
+            code, out, err = run(capsys, "census", "--x", above, *extra)
+            assert code == 64 and out == ""
+            assert above in err
+        assert not target.exists()
+        # the ceiling itself is accepted
+        report = census.nonvanishing_census(1000)
+        monkeypatch.setattr(cli, "nonvanishing_census", lambda x: report)
+        code, out, _ = run(capsys, "census", "--x", str(cli.CENSUS_CEILING))
+        assert code == 0
+        assert json.loads(out) == report.to_json_dict()
 
 
 class TestOtherCommands:

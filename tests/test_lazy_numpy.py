@@ -2,7 +2,8 @@
 sieves import it, so q-series commands never pay its start-up cost, and a
 command that needs it fails as a usage error where numpy is missing.  No
 command loads dataclasses or inspect: the records are namedtuples and
-QSeries a slotted class, so a cold start skips that import machinery."""
+QSeries a slotted class, so a cold start skips that import machinery.
+Nor does the package load typing: without site, nothing else would."""
 
 import json
 import subprocess
@@ -84,3 +85,12 @@ def test_missing_numpy_is_a_usage_error(argv):
         capture_output=True, text=True, timeout=120, check=True)
     assert json.loads(done.stdout.splitlines()[-1]) == 64
     assert done.stderr == "plusforms: this command needs numpy\n"
+
+
+def test_cold_start_without_site_never_imports_typing():
+    probe = ("import sys; sys.path.insert(0, %r); import plusforms.cli; "
+             "print('typing' in sys.modules)" % SRC)
+    done = subprocess.run([sys.executable, "-S", "-c", probe],
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert done.stdout == "False\n"

@@ -5,10 +5,6 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "plusforms"
 
-# _graded_rows multiplies raw integer rows of theta and F_2 before any
-# QSeries exists, so it calls the product kernel itself
-ALLOWED_PRIVATE = {("qseries", "_kronecker")}
-
 
 def relative_imports():
     """(importing module, imported module, name) per `from .mod import name`."""
@@ -20,9 +16,8 @@ def relative_imports():
 
 
 def test_no_module_imports_another_modules_private_names():
-    bad = [(src, mod, name) for src, mod, name in relative_imports()
-           if name.startswith("_") and (mod, name) not in ALLOWED_PRIVATE]
-    assert bad == []
+    assert [(src, mod, name) for src, mod, name in relative_imports()
+            if name.startswith("_")] == []
 
 
 def test_operators_and_congruence_engine_skip_class_numbers():
