@@ -46,7 +46,6 @@ from .cohen_eisenstein import (  # noqa: F401
 from .operators import (  # noqa: F401
     Character,
     NotOddPrimeError,
-    OperatorTrace,
     ap_project,
     hecke_t,
     r_t,

@@ -209,7 +209,7 @@ def _verify_pair(target, precision, units) -> CongruenceReport:
 
     if precision is None:
         plan = sturm_plan(*(form.meta for form in build(1)))
-        precision = -(-sturm_bound(plan.twice_weight, plan.level) * 6 // 5)
+        precision = -(-plan.bound * 6 // 5)
     precision = _verify_precision("verify " + target, precision)
     return verify_congruence(*build(precision), 3, units=units)
 
@@ -222,8 +222,7 @@ def _verify_remark3(precision, units) -> CongruenceReport:
                                   300 if precision is None else precision)
     lhs = cusp_line_13_half(precision)
     rhs = theta_off_multiples_of_three(precision)
-    plan = sturm_plan(lhs.meta, rhs.meta)
-    bound = sturm_bound(plan.twice_weight, plan.level)
+    bound = sturm_plan(lhs.meta, rhs.meta).bound
     if precision < bound:
         return CongruenceReport(lhs.name, rhs.name, 3, bound, None, "direct",
                                 "insufficient_precision", required=bound,

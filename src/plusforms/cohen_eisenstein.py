@@ -278,7 +278,7 @@ def g_ab(a: int, b: int, precision: int) -> Form:
     coeffs = [0] * precision
     coeffs[b % a::a] = hurwitz_numbers(precision - 1, a, b)
     level = a * a if a % 2 == 0 else 4 * a * a
-    return Form(QSeries.rational(coeffs), FormMeta(3, level, character="unset"))
+    return Form(QSeries.rational(coeffs), FormMeta(3, level))
 
 
 def plus_isomorphism(k: int, f: Form | None, h: Form | None,

@@ -81,6 +81,11 @@ class SturmPlan(namedtuple("SturmPlan",
 
     __slots__ = ()
 
+    @property
+    def bound(self) -> int:
+        """The Sturm bound of the integral-weight pair."""
+        return sturm_bound(self.twice_weight, self.level)
+
     def check_modulus(self, m: int) -> None:
         """R_t is identically 1 mod 3 only, so a gap t > 0 needs m = 3."""
         if self.t and m != 3:
@@ -204,7 +209,7 @@ def verify_congruence(lhs: NamedForm, rhs: NamedForm, m: int = 3, *,
     m != 3 is a ValueError."""
     plan = sturm_plan(lhs.meta, rhs.meta)
     plan.check_modulus(m)
-    bound = sturm_bound(plan.twice_weight, plan.level)
+    bound = plan.bound
     report = partial(CongruenceReport, lhs.name, rhs.name, m, bound, plan.t,
                      plan.strategy)
     available = min(lhs.series.precision, rhs.series.precision)

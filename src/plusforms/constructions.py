@@ -3,19 +3,20 @@
 phi(k) = 28 H_{7/2} R_{k-3} - (44/3) H_{11/2} R_{k-5} is the weight k + 1/2
 plus-space cusp form whose coefficients reduce mod 3 to Hurwitz class
 numbers along n = 1 mod 3; F packages that reduction by removing exponents
-divisible by 3 and symmetrizing with a quadratic twist.  psi(k) =
-Delta(4z) R_{k-12} theta and its k = 10 companion play the same role along
-n = 2 mod 3 with the Hurwitz numbers H(3n).
+divisible by 3 and symmetrizing with a quadratic twist, which is twice the
+projection to n = 1 mod 3.  psi(k) = Delta(4z) R_{k-12} theta and its
+k = 10 companion play the same role along n = 2 mod 3 with the Hurwitz
+numbers H(3n).
 
-Every builder validates 3-integrality and the support constraints eagerly:
-a failure there is a build error, not a condition to handle.
+Every builder validates 3-integrality and the support constraints eagerly,
+where its construction does not already ensure them: a failure there is a
+build error, not a condition to handle.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
 
 from . import _cache
 from .cohen_eisenstein import (
@@ -28,7 +29,6 @@ from .cohen_eisenstein import (
 from .level_one_forms import FormMeta, delta
 from .operators import (
     Character,
-    OperatorTrace,
     ap_project,
     dilate4,
     e2_level_two,
@@ -38,10 +38,8 @@ from .operators import (
     level_after_v,
     r_monomial,
     r_t,
-    twist,
     u_op,
     v4_precision,
-    v_op,
 )
 from .qseries import QSeries
 
@@ -56,6 +54,9 @@ class SupportError(ValueError):
 
 
 class NamedForm(namedtuple("NamedForm", "name series meta trace")):
+    """A named series with its meta and `trace`, the tuple of tags of the
+    operators that define it."""
+
     __slots__ = ()
 
     def to_json_dict(self) -> dict:
@@ -64,7 +65,7 @@ class NamedForm(namedtuple("NamedForm", "name series meta trace")):
             "name": self.name,
             "twice_weight": self.meta.twice_weight,
             "level_bound": self.meta.level_bound,
-            "trace": list(self.trace.description),
+            "trace": list(self.trace),
         })
         return payload
 
@@ -99,39 +100,32 @@ def phi(k: int, precision: int) -> NamedForm:
     bad = forbidden_residues(k)
     _check_support(name, series, lambda n: n % 4 not in bad)
     return NamedForm(name, series, FormMeta(2 * k + 1, 4),
-                     OperatorTrace(("28*cohen(3)*r_t(%d)" % (k - 3),
-                                    "-44/3*cohen(5)*r_t(%d)" % (k - 5)), 4))
+                     ("28*cohen(3)*r_t(%d)" % (k - 3),
+                      "-44/3*cohen(5)*r_t(%d)" % (k - 5)))
 
 
 def f_form(precision: int) -> NamedForm:
     """phi(9) with exponents divisible by 3 removed, plus its quadratic
-    twist; the survivors sit on n = 1 mod 3 (doubled)."""
-    # the U_3 / V_3 round trip trims up to two coefficients, so build a
-    # little deeper and truncate back to the requested precision
-    base = phi(9, precision + 2)
-    picked = v_op(u_op(base.series, 3), 3)
-    stripped = (base.series - picked).truncate(precision)
-    level_a = lcm(base.meta.level_bound,
-                  level_after_v(level_after_u(base.meta.level_bound, 3), 3))
-    twisted = twist(stripped, CHI3)
-    level = lcm(level_a, level_after_twist(level_a, CHI3.modulus))
-    series = stripped + twisted
-    name = "F"
-    _check_three_integral(series)
-    _check_support(name, series, lambda n: n % 3 == 1)
-    return NamedForm(name, series, FormMeta(base.meta.twice_weight, level),
-                     base.trace.extended("U_3", level_a)
-                     .extended("V_3", level_a)
-                     .extended("+twist(chi3)", level))
+    twist by chi3.  1 + chi3(n) is 2 on n = 1 mod 3 and 0 elsewhere, so
+    this is twice the projection of phi(9) to n = 1 mod 3, 3-integral
+    because phi(9) is."""
+    base = phi(9, precision)
+    # the tags and the level record the definition, U_3, V_3 and the
+    # twist; a Sturm bound holds for the series however it is computed
+    level = level_after_twist(
+        level_after_v(level_after_u(base.meta.level_bound, 3), 3),
+        CHI3.modulus)
+    return NamedForm("F", ap_project(base.series, 1, 3).scale(2),
+                     FormMeta(base.meta.twice_weight, level),
+                     base.trace + ("U_3", "V_3", "+twist(chi3)"))
 
 
 def g31(precision: int) -> NamedForm:
     """Hurwitz numbers along n = 1 mod 3: a weight-3/2 form on level 36."""
     form = g_ab(3, 1, precision)
     _check_three_integral(form.series)
-    return NamedForm("G_{3,1}", form.series,
-                     FormMeta(3, 36, character="unset"),
-                     OperatorTrace(("hurwitz | n=1 mod 3",), 36))
+    return NamedForm("G_{3,1}", form.series, form.meta,
+                     ("hurwitz | n=1 mod 3",))
 
 
 def _psi_series(k: int, precision: int) -> QSeries:
@@ -163,29 +157,27 @@ def psi(k: int, precision: int) -> NamedForm:
     level = 8 if k == 14 else 4
     tag = "w2_bridge" if k == 14 else "r_t(%d)" % (k - 12)
     return NamedForm(name, series, FormMeta(2 * k + 1, level),
-                     OperatorTrace(("delta|V_4", tag, "theta"), level))
+                     ("delta|V_4", tag, "theta"))
 
 
 def _psi10_base(precision: int) -> QSeries:
-    small = v4_precision(precision)
-    e4e6 = dilate4(r_monomial(10, small), precision)
-    e4e4 = dilate4(r_monomial(8, small), precision)
-    return theta(precision).series * e4e6 \
-        - cohen_series(2, precision).series * e4e4
+    # R_10 = E_4(4z) E_6(4z) and R_8 = E_4(4z)^2
+    return theta(precision).series * r_t(10, precision).series \
+        - cohen_series(2, precision).series * r_t(8, precision).series
 
 
 def psi10(precision: int) -> NamedForm:
     """-(theta E_4(4z) E_6(4z) - H_{5/2} E_4(4z)^2) twisted by chi3, plus
-    the chi3^2 twist of the same; supported on n = 2 mod 3."""
+    the chi3^2 twist of the same.  chi3^2(n) - chi3(n) is 2 on n = 2 mod 3
+    and 0 elsewhere, so this is twice the projection of the base to
+    n = 2 mod 3."""
     base = _cache.series_at(("psi10-base",), precision, _psi10_base)
-    series = twist(base, CHI3).scale(-1) + twist(base, CHI3_SQUARED)
-    name = "psi10"
+    series = ap_project(base, 2, 3).scale(2)
     _check_three_integral(series)
-    _check_support(name, series, lambda n: n % 3 == 2)
-    level = level_after_twist(4, 3)
-    return NamedForm(name, series, FormMeta(21, level),
-                     OperatorTrace(("theta*E4(4z)*E6(4z)-cohen(2)*E4(4z)^2",
-                                    "-twist(chi3)+twist(chi3^2)"), level))
+    return NamedForm("psi10", series,
+                     FormMeta(21, level_after_twist(4, CHI3.modulus)),
+                     ("theta*E4(4z)*E6(4z)-cohen(2)*E4(4z)^2",
+                      "-twist(chi3)+twist(chi3^2)"))
 
 
 def hurwitz_progression(precision: int) -> NamedForm:
@@ -197,8 +189,7 @@ def hurwitz_progression(precision: int) -> NamedForm:
     name = "hurwitz(3n)|n=2 mod 3"
     _check_three_integral(series)
     _check_support(name, series, lambda n: n % 3 == 2)
-    return NamedForm(name, series, FormMeta(3, level, character="unset"),
-                     OperatorTrace(("G_{9,6}", "U_3"), level))
+    return NamedForm(name, series, FormMeta(3, level), ("G_{9,6}", "U_3"))
 
 
 def cusp_line_13_half(precision: int) -> NamedForm:
@@ -209,8 +200,7 @@ def cusp_line_13_half(precision: int) -> NamedForm:
     (series,) = [form.series.primitive()
                  for n, form in plus_space_basis(6, precision) if n]
     return NamedForm("S+(13/2) primitive generator", series, FormMeta(13, 4),
-                     OperatorTrace(("plus_space_basis(6) cusp element",
-                                    "primitive"), 4))
+                     ("plus_space_basis(6) cusp element", "primitive"))
 
 
 def theta_off_multiples_of_three(precision: int) -> NamedForm:
@@ -222,8 +212,7 @@ def theta_off_multiples_of_three(precision: int) -> NamedForm:
             coeffs[n * n] = 1
         n += 1
     return NamedForm("sum q^(n^2), 3!|n", QSeries.rational(coeffs),
-                     FormMeta(1, 36, character="unset"),
-                     OperatorTrace(("theta restricted",), 36))
+                     FormMeta(1, 36), ("theta restricted",))
 
 
 def ap_named(form: NamedForm, a: int, modulus: int) -> NamedForm:
@@ -232,7 +221,5 @@ def ap_named(form: NamedForm, a: int, modulus: int) -> NamedForm:
     level = level_after_ap(form.meta.level_bound, modulus)
     return NamedForm("%s|n=%d mod %d" % (form.name, a, modulus),
                      ap_project(form.series, a, modulus),
-                     FormMeta(form.meta.twice_weight, level,
-                              form.meta.character),
-                     form.trace.extended("proj(%d mod %d)" % (a, modulus),
-                                         level))
+                     FormMeta(form.meta.twice_weight, level),
+                     form.trace + ("proj(%d mod %d)" % (a, modulus),))

@@ -21,10 +21,9 @@ class Weight2EmptyError(ValueError):
     """M_2 at level one is zero; there is no basis to hand out."""
 
 
-class FormMeta(namedtuple("FormMeta", "twice_weight level_bound character",
-                          defaults=("trivial",))):
-    """Weight (stored doubled so half-integral weights stay integral),
-    a conservative level bound, and a character label."""
+class FormMeta(namedtuple("FormMeta", "twice_weight level_bound")):
+    """Weight (stored doubled so half-integral weights stay integral) and
+    a conservative level bound."""
 
     __slots__ = ()
 

@@ -26,16 +26,6 @@ class NotOddPrimeError(ValueError):
     """The Hecke operator index must be an odd prime."""
 
 
-class OperatorTrace(namedtuple("OperatorTrace",
-                               "description level_bound_out")):
-    """Applied-operator tags plus the resulting conservative level bound."""
-
-    __slots__ = ()
-
-    def extended(self, tag: str, level: int) -> "OperatorTrace":
-        return OperatorTrace(self.description + (tag,), level)
-
-
 class Character(namedtuple("Character", "modulus values label")):
     """A residue character given by its value table mod `modulus`."""
 

@@ -26,13 +26,12 @@ from plusforms.constructions import (
     psi,
 )
 from plusforms.level_one_forms import FormMeta
-from plusforms.operators import OperatorTrace, r_t
+from plusforms.operators import r_t
 from plusforms.qseries import QSeries, RingTag
 
 
 def _named(name, series, twice_weight, level):
-    return NamedForm(name, series, FormMeta(twice_weight, level),
-                     OperatorTrace((name,), level))
+    return NamedForm(name, series, FormMeta(twice_weight, level), (name,))
 
 
 class TestBounds:
@@ -333,8 +332,8 @@ class TestRowsDecideTheSturmPair:
         bound = sturm_bound(plan.twice_weight, plan.level)
         if bound <= lhs.precision:
             report = verify_congruence(
-                NamedForm("lhs", lhs, lhs_meta, OperatorTrace(("lhs",), 4)),
-                NamedForm("rhs", rhs, rhs_meta, OperatorTrace(("rhs",), 4)),
+                NamedForm("lhs", lhs, lhs_meta, ("lhs",)),
+                NamedForm("rhs", rhs, rhs_meta, ("rhs",)),
                 3, units=(unit,))
             assert report.verified == (first is None or first >= bound)
             if not report.verified:

@@ -26,7 +26,17 @@ from plusforms.constructions import (
     theta_off_multiples_of_three,
 )
 from plusforms.level_one_forms import delta, eisenstein
-from plusforms.operators import ap_project, e2_level_two, r_t, twist, v_op
+from plusforms.operators import (
+    ap_project,
+    dilate4,
+    e2_level_two,
+    r_monomial,
+    r_t,
+    twist,
+    u_op,
+    v4_precision,
+    v_op,
+)
 from plusforms.qseries import RATIONAL, QSeries
 
 DISPLAY_PHI = {4: 2, 7: 1, 19: 1, 28: 2, 40: 2, 43: 1, 52: 2, 55: 1,
@@ -92,10 +102,14 @@ class TestF:
         series = f_form(100).series
         assert all(c == 0 for n, c in enumerate(series.coeffs) if n % 3 != 1)
 
-    def test_equals_twice_projection(self):
-        f = f_form(100).series
-        doubled = ap_project(phi(9, 100).series, 1, 3).scale(2)
-        assert f.coeffs == doubled.coeffs[:f.precision]
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 100])
+    def test_equals_the_u3_v3_twist_route(self, p):
+        # the definition, built by its operators: phi(9) less V_3 U_3 of
+        # it, plus the chi3 twist of that; the U_3 / V_3 round trip trims
+        # up to two coefficients, so phi(9) is built two deeper
+        base = phi(9, p + 2).series
+        stripped = (base - v_op(u_op(base, 3), 3)).truncate(p)
+        assert f_form(p).series == stripped + twist(stripped, CHI3)
 
     def test_displayed_residues_with_unit_two(self):
         red = f_form(100).series.reduce_mod(3)
@@ -187,7 +201,7 @@ class TestPsi:
     def test_psi14_uses_level8_bridge(self):
         form = psi(14, 60)
         assert form.meta.level_bound == 8
-        assert "w2_bridge" in form.trace.description
+        assert "w2_bridge" in form.trace
 
     def test_projection_stability(self):
         base = ap_project(psi(12, 90).series, 2, 3).reduce_mod(3)
@@ -211,9 +225,19 @@ class TestPsi10:
         series = psi10(80).series
         assert all(c == 0 for n, c in enumerate(series.coeffs) if n % 3 != 2)
 
-    def test_equals_twice_projection_of_base(self):
-        # -chi3(n) + chi3^2(n) = 2 at n = 2 mod 3, else 0
-        assert [(-CHI3(n) + CHI3_SQUARED(n)) % 3 for n in range(3)] == [0, 0, 2]
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 80])
+    def test_equals_the_twist_route(self, p):
+        # the definition, built by its operators: the base twisted by
+        # -chi3 plus its chi3^2 twist, where -chi3(n) + chi3^2(n) is 2 at
+        # n = 2 mod 3 and 0 elsewhere
+        assert [-CHI3(n) + CHI3_SQUARED(n) for n in range(3)] == [0, 0, 2]
+        small = v4_precision(p)
+        base = theta(p).series * dilate4(r_monomial(10, small), p) \
+            - cohen_series(2, p).series * dilate4(r_monomial(8, small), p)
+        expected = twist(base, CHI3).scale(-1) + twist(base, CHI3_SQUARED)
+        assert psi10(p).series == expected
+
+    def test_congruent_to_twice_projection_of_psi12(self):
         p = 80
         lhs = psi10(p).series.reduce_mod(3)
         rhs = ap_project(psi(12, p).series, 2, 3).scale(2).reduce_mod(3)

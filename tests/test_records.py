@@ -14,7 +14,7 @@ from plusforms.cohen_eisenstein import PlusConditionError, PlusForm
 from plusforms.congruence_engine import CongruenceReport, SturmPlan
 from plusforms.constructions import NamedForm
 from plusforms.level_one_forms import Form, FormMeta
-from plusforms.operators import Character, OperatorTrace
+from plusforms.operators import Character
 from plusforms.qseries import QSeries, RATIONAL, RingTag
 
 
@@ -38,8 +38,7 @@ RECORDS = {
                      ("value", "is_fundamental")),
     "PlusForm": (lambda: PlusForm(_series(), _meta(), 1),
                  ("series", "meta", "k")),
-    "NamedForm": (lambda: NamedForm("g", _series(), _meta(),
-                                    OperatorTrace(("theta",), 4)),
+    "NamedForm": (lambda: NamedForm("g", _series(), _meta(), ("theta",)),
                   ("name", "series", "meta", "trace")),
     "SturmPlan": (lambda: SturmPlan("theta_integralize", 6, (0, 6), 20, 36),
                   ("strategy", "t", "r_weights", "twice_weight", "level")),
@@ -55,10 +54,8 @@ RECORDS = {
                              Fraction(3, 5)),
         ("x", "n2minus_count", "n2minus_density", "nonvanishing_count",
          "nonvanishing_density", "ratio_nonvanishing_to_n2minus")),
-    "FormMeta": (_meta, ("twice_weight", "level_bound", "character")),
+    "FormMeta": (_meta, ("twice_weight", "level_bound")),
     "Form": (lambda: Form(_series(), _meta()), ("series", "meta")),
-    "OperatorTrace": (lambda: OperatorTrace(("delta|V_4", "theta"), 12),
-                      ("description", "level_bound_out")),
     "Character": (lambda: Character.kronecker(-3),
                   ("modulus", "values", "label")),
 }
