@@ -19,6 +19,7 @@ import csv
 import json
 import os
 import sys
+from functools import partial
 
 from .census import census_with_rows, nonvanishing_census
 from .class_numbers import class_number_of_field, field_discriminant, hurwitz
@@ -56,23 +57,32 @@ EXIT_USAGE = 64
 # the most coefficients a verify target or an expand builds: far above the
 # paper's bounds
 VERIFY_CEILING = 10 ** 6
-# the largest r expand --form cohen:r takes: the plus-space solve grows
-# steeply in r (cold, at --prec 10: 0.6 s at r = 100, 2.3 s at 150)
-COHEN_CEILING = 100
-# the largest cost estimate r^2 P^1.7 expand --form cohen:r --prec P takes:
-# cold, the solve takes about 5e-9 r^2 P^1.7 s on one Xeon core, so about
-# a minute at the limit ((50, 8000): 56 s, (20, 20000): 31 s)
-COHEN_COST_CEILING = 1.2e10
+# per form family: the letter of its index (r of cohen:r, the weight k of
+# phi:k and psi:k), the largest index taken, the exponents of the index and
+# of P in the cost estimate of a build at --prec P, and the largest
+# estimate taken.  F and psi10 count as phi:9 and phi:10.  Cold on one
+# Xeon core, the plus-space solve grows steeply in r (at --prec 10: 0.6 s
+# at r = 100, 2.3 s at 150) and takes about 5e-9 r^2 P^1.7 s ((50, 8000):
+# 56 s, (20, 20000): 31 s); the E_4 power rows of R_t widen linearly in k
+# (phi:2001 --prec 4000: 23 s); phi:k takes at most 2.2e-9 k P^1.9 s
+# (phi:999 --prec 9349: 75 s), and psi:k, verify psi:k too, at most
+# 3.3e-10 k^1.4 P^1.75 s.  So each estimate's limit is about a minute.
+COST_MODELS = {"cohen": ("r", 100, 2, 1.7, 1.2e10),
+               "phi": ("k", 1000, 1, 1.9, 2.7e10),
+               "psi": ("k", 1000, 1.4, 1.75, 1.8e11)}
 # the largest N classnum --hurwitz takes: H(999999999) takes about 4 s on
 # one Xeon core
 HURWITZ_CEILING = 10 ** 9
 # the largest |D| classnum --d takes: the field discriminant is found by
-# trial division and h by walking every reduced (a, b), O(|D|) steps;
-# |D| = 10^8 takes about 4 s cold
+# trial division and h by walking every reduced (a, b) of it, which is up
+# to 4|D|: cold, D = -99999989 (field discriminant -399999956) takes 13 s
 CLASSNUM_CEILING = 10 ** 8
 # the largest x census --x takes: time grows as x^(3/2) and memory linearly;
 # cold on one Xeon core, x = 5 * 10^7 takes 74 s and 303 MB (4 * 10^7: 40 s)
 CENSUS_CEILING = 5 * 10 ** 7
+# the largest level sturm --level takes: the index needs the level's
+# primes, found by trial division; a prime near 10^12 takes 0.06 s
+STURM_LEVEL_CEILING = 10 ** 12
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,18 +127,20 @@ def _verify_precision(command: str, precision: int) -> int:
     return precision
 
 
-def _check_cohen(spec: str, r: int, precision: int) -> None:
-    """Refuse expand --form cohen:r at `precision` before the plus-space
-    solve when r or the solve's cost estimate is above its ceiling."""
-    if r > COHEN_CEILING:
-        raise UsageError("expand --form %s: r = %d is above the limit of %d"
-                         % (spec, r, COHEN_CEILING))
-    cost = r * r * precision ** 1.7
-    if cost > COHEN_COST_CEILING:
-        raise UsageError("expand --form %s --prec %d: the cost estimate "
-                         "r^2 P^1.7 = %.3g is above the limit of %.3g; "
-                         "choose a smaller --prec"
-                         % (spec, precision, cost, COHEN_COST_CEILING))
+def _check_cost(request: str, family: str, index: int,
+                precision: int) -> None:
+    """Refuse `request` before it builds at `precision` when its index or
+    its cost estimate, by COST_MODELS[family], is above its ceiling."""
+    letter, ceiling, a, b, limit = COST_MODELS[family]
+    if index > ceiling:
+        raise UsageError("%s: %s = %d is above the limit of %d"
+                         % (request, letter, index, ceiling))
+    cost = max(index, 0) ** a * precision ** b   # the builder rejects k < 0
+    if cost > limit:
+        raise UsageError("%s: the cost estimate %s^%g P^%g at %s = %d, P = %d "
+                         "is %.3g, above the limit of %.3g; choose a smaller "
+                         "--prec" % (request, letter, a, b, letter, index,
+                                     precision, cost, limit))
 
 
 def _open_output(path: str, **kwargs):
@@ -145,34 +157,21 @@ def _build_form(spec: str, precision: int):
     """Returns the built object: a NamedForm for the composite forms, a
     Form/PlusForm for the classical ones."""
     name, _, arg = spec.partition(":")
-    try:
-        if name == "e4" and not arg:
-            return eisenstein(4, precision)
-        if name == "e6" and not arg:
-            return eisenstein(6, precision)
-        if name == "delta" and not arg:
-            return delta(precision)
-        if name == "theta" and not arg:
-            return theta(precision)
-        if name == "cohen":
-            r = int(arg)
-            _check_cohen(spec, r, precision)
-            return cohen_series(r, precision)
-        if name == "phi":
-            return phi(int(arg), precision)
-        if name == "psi" and arg:
-            return psi(int(arg), precision)
-        if name == "psi10" and not arg:
-            return psi10(precision)
-        if name == "f" and not arg:
-            return f_form(precision)
-        if name == "g31" and not arg:
-            return g31(precision)
-    except NonIntegralCoefficientError:
-        raise
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    raise UsageError("unknown form %r" % spec)
+    request = "expand --form %s --prec %d" % (spec, precision)
+    if name in ("cohen", "phi", "psi") and arg:
+        index = int(arg)
+        _check_cost(request, name, index, precision)
+        return {"cohen": cohen_series, "phi": phi, "psi": psi}[name](
+            index, precision)
+    weight = {"f": 9, "psi10": 10}.get(name)
+    if weight and not arg:
+        _check_cost(request, "phi", weight, precision)
+    builders = {"e4": partial(eisenstein, 4), "e6": partial(eisenstein, 6),
+                "delta": delta, "theta": theta, "psi10": psi10, "f": f_form,
+                "g31": g31}
+    if arg or name not in builders:
+        raise UsageError("unknown form %r" % spec)
+    return builders[name](precision)
 
 
 def _cmd_expand(args) -> int:
@@ -201,16 +200,19 @@ def _cmd_expand(args) -> int:
 def _verify_pair(target, precision, units) -> CongruenceReport:
     """verify_congruence mod 3 on the pair `target` (cong or psi:k) names, at
     --prec or 6/5 of its Sturm bound, planned from a build at precision 1."""
+    k = 9 if target == "cong" else int(target.split(":")[1])
+
     def build(p):
         if target == "cong":
             return f_form(p), g31(p)
-        k = int(target.split(":")[1])
         return ap_named(psi(k, p), 2, 3), hurwitz_progression(p)
 
     if precision is None:
         plan = sturm_plan(*(form.meta for form in build(1)))
         precision = -(-plan.bound * 6 // 5)
     precision = _verify_precision("verify " + target, precision)
+    _check_cost("verify " + target, "phi" if target == "cong" else "psi", k,
+                precision)
     return verify_congruence(*build(precision), 3, units=units)
 
 
@@ -232,9 +234,15 @@ def _verify_remark3(precision, units) -> CongruenceReport:
 
 
 def _verify_ut(ell, precision) -> list[CongruenceReport]:
-    check_odd_prime(ell)
     out_prec = _capped(100 if precision is None else precision)
+    # bounded under the cap too: the primality test trial-divides
+    if ell * ell > VERIFY_CEILING:
+        raise UsageError("verify ut:%d: l^2 is above the limit of %d"
+                         % (ell, VERIFY_CEILING))
     in_prec = _verify_precision("verify ut:%d" % ell, ell * ell * out_prec)
+    # theta, H_{5/2} and H_{7/2} at in_prec cost about one solve with r = 4
+    _check_cost("verify ut:%d" % ell, "cohen", 4, in_prec)
+    check_odd_prime(ell)
     sources = [
         ("theta", theta(in_prec).series, 0),
         ("cohen:2", cohen_series(2, in_prec).series, 2),
@@ -346,6 +354,9 @@ def _cmd_classnum(args) -> int:
 
 
 def _cmd_sturm(args) -> int:
+    if args.level > STURM_LEVEL_CEILING:
+        raise UsageError("sturm --level %d is above the limit of %d"
+                         % (args.level, STURM_LEVEL_CEILING))
     bound = sturm_bound(args.twice_weight, args.level)
     print(json.dumps({
         "twice_weight": args.twice_weight,

@@ -567,6 +567,138 @@ class TestVerifyCostGuard:
         assert run(capsys, *argv, "101")[0] == 0
 
 
+def _refuse(*args):
+    raise AssertionError("ran past a ceiling on %r" % (args,))
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every builder of a weighted form records each precision above 1 asked
+    of it and builds at precision 1 instead: a verify pair reads its plan
+    from builds at precision 1, so a refusal must come with no record."""
+    monkeypatch.delenv("PLUSFORMS_PREC_CAP", raising=False)
+    requests = []
+
+    def recording(name, builder):
+        def build(*args):
+            if args[-1] > 1:
+                requests.append((name, *args))
+            return builder(*args[:-1], 1)
+        return build
+
+    for name in ("phi", "psi", "f_form", "psi10", "g31",
+                 "hurwitz_progression"):
+        monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+    return requests
+
+
+class TestWeightCostGuard:
+    @pytest.mark.parametrize("argv", [
+        ["expand", "--form", "phi:2001", "--prec", "4000"],
+        ["expand", "--form", "psi:1002", "--prec", "10"],
+        ["verify", "psi:1002"],
+        ["verify", "psi:2000"],
+    ], ids=" ".join)
+    def test_refuses_a_weight_above_the_ceiling(self, capsys, built, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 64 and out == "" and built == []
+        k = [a for a in argv if ":" in a][0].split(":")[1]
+        assert "k = %s is above the limit of 1000" % k in err
+
+    @pytest.mark.parametrize("argv", [
+        ["expand", "--form", "phi:9", "--prec", "97266"],
+        ["expand", "--form", "phi:999", "--prec", "8156"],
+        ["expand", "--form", "psi:12", "--prec", "370033"],
+        ["expand", "--form", "psi:1000", "--prec", "10755"],
+        ["expand", "--form", "f", "--prec", "97266"],
+        ["expand", "--form", "psi10", "--prec", "92019"],
+        ["verify", "cong", "--prec", "97266"],
+        ["verify", "psi:12", "--prec", "370033"],
+        ["verify", "psi:252"],
+    ], ids=" ".join)
+    def test_refuses_a_cost_above_the_ceiling(self, capsys, built, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 64 and out == "" and built == []
+        assert "cost estimate" in err and "choose a smaller --prec" in err
+
+    @pytest.mark.parametrize("argv, requests, exit_code", [
+        (["expand", "--form", "phi:9", "--prec", "97265"],
+         [("phi", 9, 97265)], 0),
+        (["expand", "--form", "phi:999", "--prec", "8155"],
+         [("phi", 999, 8155)], 0),
+        (["expand", "--form", "psi:12", "--prec", "370032"],
+         [("psi", 12, 370032)], 0),
+        (["expand", "--form", "psi:1000", "--prec", "10754"],
+         [("psi", 1000, 10754)], 0),
+        (["expand", "--form", "f", "--prec", "97265"],
+         [("f_form", 97265)], 0),
+        (["expand", "--form", "psi10", "--prec", "92018"],
+         [("psi10", 92018)], 0),
+        (["verify", "cong", "--prec", "97265"],
+         [("f_form", 97265), ("g31", 97265)], 2),
+        (["verify", "psi:250"],
+         [("psi", 250, 32466), ("hurwitz_progression", 32466)], 2),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list)
+        and isinstance(v[0], str) else None)
+    def test_accepts_the_largest_request(self, capsys, built, argv,
+                                         requests, exit_code):
+        code, _, _ = run(capsys, *argv)
+        assert code == exit_code and built == requests
+
+    @pytest.mark.parametrize("spec", ["psi:-4", "phi:-7", "cohen:-3"])
+    def test_a_negative_index_reaches_the_builder(self, capsys, spec):
+        # its cost estimate is no complex number: the builder rejects it
+        code, out, err = run(capsys, "expand", "--form", spec, "--prec", "9")
+        assert code == 64 and out == "" and "Traceback" not in err
+        assert "got -" in err or "r >= 2" in err
+
+    def test_cost_is_checked_after_the_cap(self, capsys, built, monkeypatch):
+        monkeypatch.setenv("PLUSFORMS_PREC_CAP", "97265")
+        code, _, _ = run(capsys, "expand", "--form", "phi:9",
+                         "--prec", "97266")
+        assert code == 0 and built == [("phi", 9, 97265)]
+
+
+class TestFactorizationBounds:
+    def test_sturm_level_above_the_ceiling(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "index_gamma0", _refuse)
+        monkeypatch.setattr(cli, "sturm_bound", _refuse)
+        for level in (cli.STURM_LEVEL_CEILING + 1, 2 ** 61 - 1):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "sturm", "--twice-weight", "2",
+                                 "--level", str(level))
+            assert time.perf_counter() - start < 0.5
+            assert code == 64 and out == "" and str(level) in err
+
+    def test_sturm_level_at_the_ceiling(self, capsys):
+        # the largest prime below the ceiling: trial division runs to its
+        # square root
+        code, out, _ = run(capsys, "sturm", "--twice-weight", "2",
+                           "--level", "999999999989")
+        assert code == 0
+        assert json.loads(out)["index"] == 999999999990
+
+    @pytest.mark.parametrize("cap", [None, "50"])
+    def test_ut_bounds_l_before_the_primality_test(self, capsys, monkeypatch,
+                                                   cap):
+        monkeypatch.setattr(cli, "check_odd_prime", _refuse)
+        monkeypatch.delenv("PLUSFORMS_PREC_CAP", raising=False)
+        if cap:
+            monkeypatch.setenv("PLUSFORMS_PREC_CAP", cap)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "ut:2305843009213693951")
+        assert time.perf_counter() - start < 0.5
+        assert code == 64 and out == "" and "2305843009213693951" in err
+
+    def test_ut_under_the_cap_keeps_its_primality_test(self, capsys,
+                                                       monkeypatch):
+        monkeypatch.setenv("PLUSFORMS_PREC_CAP", "50")
+        code, _, err = run(capsys, "verify", "ut:999")
+        assert code == 64 and "999 is not an odd prime" in err
+
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 ENTRY = ("import sys; sys.path.insert(0, %r); "
          "from plusforms.cli import entry; entry()" % SRC)
