@@ -38,6 +38,7 @@ from .cohen_eisenstein import (  # noqa: F401
     WeightMismatchError,
     cohen_h,
     cohen_series,
+    cohen_series_many,
     g_ab,
     plus_isomorphism,
     plus_space_basis,

@@ -58,18 +58,25 @@ EXIT_USAGE = 64
 # paper's bounds
 VERIFY_CEILING = 10 ** 6
 # per form family: the letter of its index (r of cohen:r, the weight k of
-# phi:k and psi:k), the largest index taken, the exponents of the index and
-# of P in the cost estimate of a build at --prec P, and the largest
-# estimate taken.  F and psi10 count as phi:9 and phi:10.  Cold on one
-# Xeon core, the plus-space solve grows steeply in r (at --prec 10: 0.6 s
-# at r = 100, 2.3 s at 150) and takes about 5e-9 r^2 P^1.7 s ((50, 8000):
-# 56 s, (20, 20000): 31 s); the E_4 power rows of R_t widen linearly in k
-# (phi:2001 --prec 4000: 23 s); phi:k takes at most 2.2e-9 k P^1.9 s
-# (phi:999 --prec 9349: 75 s), and psi:k, verify psi:k too, at most
-# 3.3e-10 k^1.4 P^1.75 s.  So each estimate's limit is about a minute.
+# phi:k and psi:k; None for a build with no index), the largest index
+# taken, the exponents of the index and of P in the cost estimate of a
+# build at --prec P, and the largest estimate taken.  F and psi10 count as
+# phi:9 and phi:10, and verify remark3, which reads plus_space_basis(6, P),
+# as cohen:6.  Cold on one Xeon core, the plus-space solve grows steeply in
+# r (at precision 10: 0.4 s at r = 100, 1.2 s at 150) and cohen:r takes at
+# most about 6.5e-9 r^2 P^1.7 s ((100, 3766): 78 s, (50, 8000): 39 s,
+# (20, 20000): 15 s; remark3 at 103147: 26 s); the E_4 power rows of R_t
+# widen linearly in k (phi:2001 --prec 4000: 31 s); phi:k takes at most
+# 2.2e-9 k P^1.9 s (phi:999 --prec 8155: 51 s), and psi:k, verify psi:k
+# too, at most 3.3e-10 k^1.4 P^1.75 s.  verify rt, all R_t with t <= 40,
+# takes about 1.8e-7 P^1.8 s (8.6 s at 2e4, 64 s at 6e4) and delta about
+# 2.5e-7 P^1.55 s (14 s at 1e5, 76 s at 3e5).  So each estimate's limit is
+# about a minute.
 COST_MODELS = {"cohen": ("r", 100, 2, 1.7, 1.2e10),
                "phi": ("k", 1000, 1, 1.9, 2.7e10),
-               "psi": ("k", 1000, 1.4, 1.75, 1.8e11)}
+               "psi": ("k", 1000, 1.4, 1.75, 1.8e11),
+               "rt": (None, None, 0, 1.8, 3.5e8),
+               "delta": (None, None, 0, 1.55, 2.3e8)}
 # the largest N classnum --hurwitz takes: H(999999999) takes about 4 s on
 # one Xeon core
 HURWITZ_CEILING = 10 ** 9
@@ -127,20 +134,24 @@ def _verify_precision(command: str, precision: int) -> int:
     return precision
 
 
-def _check_cost(request: str, family: str, index: int,
+def _check_cost(request: str, family: str, index: int | None,
                 precision: int) -> None:
     """Refuse `request` before it builds at `precision` when its index or
     its cost estimate, by COST_MODELS[family], is above its ceiling."""
     letter, ceiling, a, b, limit = COST_MODELS[family]
-    if index > ceiling:
-        raise UsageError("%s: %s = %d is above the limit of %d"
-                         % (request, letter, index, ceiling))
-    cost = max(index, 0) ** a * precision ** b   # the builder rejects k < 0
+    estimate, at = "P^%g" % b, "P = %d" % precision
+    cost = precision ** b
+    if letter is not None:
+        if index > ceiling:
+            raise UsageError("%s: %s = %d is above the limit of %d"
+                             % (request, letter, index, ceiling))
+        estimate = "%s^%g %s" % (letter, a, estimate)
+        at = "%s = %d, %s" % (letter, index, at)
+        cost *= max(index, 0) ** a   # the builder rejects k < 0
     if cost > limit:
-        raise UsageError("%s: the cost estimate %s^%g P^%g at %s = %d, P = %d "
-                         "is %.3g, above the limit of %.3g; choose a smaller "
-                         "--prec" % (request, letter, a, b, letter, index,
-                                     precision, cost, limit))
+        raise UsageError("%s: the cost estimate %s at %s is %.3g, above the "
+                         "limit of %.3g; choose a smaller --prec"
+                         % (request, estimate, at, cost, limit))
 
 
 def _open_output(path: str, **kwargs):
@@ -163,9 +174,10 @@ def _build_form(spec: str, precision: int):
         _check_cost(request, name, index, precision)
         return {"cohen": cohen_series, "phi": phi, "psi": psi}[name](
             index, precision)
-    weight = {"f": 9, "psi10": 10}.get(name)
-    if weight and not arg:
-        _check_cost(request, "phi", weight, precision)
+    model = {"f": ("phi", 9), "psi10": ("phi", 10),
+             "delta": ("delta", None)}.get(name)
+    if model and not arg:
+        _check_cost(request, *model, precision)
     builders = {"e4": partial(eisenstein, 4), "e6": partial(eisenstein, 6),
                 "delta": delta, "theta": theta, "psi10": psi10, "f": f_form,
                 "g31": g31}
@@ -222,6 +234,8 @@ def _verify_remark3(precision, units) -> CongruenceReport:
     their sturm_plan (43) is insufficient precision."""
     precision = _verify_precision("verify remark3",
                                   300 if precision is None else precision)
+    # the cusp line is read off plus_space_basis(6, P), the cohen:6 solve
+    _check_cost("verify remark3", "cohen", 6, precision)
     lhs = cusp_line_13_half(precision)
     rhs = theta_off_multiples_of_three(precision)
     bound = sturm_plan(lhs.meta, rhs.meta).bound
@@ -262,6 +276,7 @@ def _verify_ut(ell, precision) -> list[CongruenceReport]:
 def _verify_rt(precision) -> list[CongruenceReport]:
     depth = _verify_precision("verify rt",
                               100 if precision is None else precision)
+    _check_cost("verify rt", "rt", None, depth)
     reports = []
     for t in range(0, 41, 2):
         if t == 2:

@@ -14,8 +14,19 @@ past the forbidden block.  Their number is checked against Kohnen's
 dimension dim M+_{k+1/2} = dim M_{2k} = 1 + dim S_{2k} (k >= 2).  Every
 plus form lies in the kernel of any finite set of plus conditions, so a
 kernel of that dimension is the plus space itself: the solve proves its
-result.  The basis is evaluated over Z with one common denominator at full
-precision.
+result.  It reads the rows only at its own length, 4 (top + 1)
+coefficients for 2k + 1 = 4 top + eps, and keeps only the pivots and each
+basis form's coordinates in the rows.
+
+Every plus form, a basis element or a Cohen series, is then evaluated at
+the requested precision by one routine: with X = theta^4 and Y = F_2 it
+forms theta^eps sum(c_b X^(top-b) Y^b) by Horner in X over the powers of
+Y, over Z with one common denominator.  A form whose first nonzero
+coordinate is c_b0 takes top - b0 + 1 full-length products.  Building every
+row whole would take about 3 top, so one form is cheaper this way and a
+basis of dimension d >= 4 (from about k = 20) dearer.  The powers of theta
+and F_2 are built once per call, shared by the forms of that call (H_{7/2}
+and H_{11/2} for phi), and dropped when it returns.
 
 A plus form is fixed by its coefficients at the basis pivots, so the
 Eisenstein series H_{r+1/2} = sum(H(r, N) q^N) needs only the single values
@@ -125,24 +136,34 @@ def cohen_h(r: int, n: int) -> Fraction:
     return _l_value(r, d) * acc
 
 
-def _graded_rows(k: int, precision: int) -> list[tuple[int, ...]]:
-    """theta^(eps + 4j) F_2^b for b = 0..top and j = top - b, where
-    2k + 1 = 4 top + eps, as integer rows of length `precision`; row b
-    starts at q^b, so the rows are independent."""
-    top, eps = divmod(2 * k + 1, 4)
-    th = theta(precision).series
-    th2 = th * th
-    th4 = th2 * th2
-    leads = [th if eps == 1 else th2 * th]
-    for _ in range(top):
-        leads.append(leads[-1] * th4)
-    f2 = QSeries.from_row(RATIONAL, [s if n % 2 else 0 for n, s in
-                                     enumerate(sigma_table(1, precision))])
-    powers = [f2]
-    for _ in range(top - 1):
-        powers.append(powers[-1] * f2)
-    return [leads[top].nums] + [(leads[top - b] * powers[b - 1]).nums
-                                for b in range(1, top + 1)]
+class _Rungs:
+    """theta^a (a <= 4) and F_2^b at one precision, each built on first use
+    and kept only as long as the object: one call's plus forms share them."""
+
+    __slots__ = ("precision", "_theta", "_f2")
+
+    def __init__(self, precision: int):
+        self.precision = precision
+        self._theta: dict[int, QSeries] = {}
+        self._f2: list[QSeries] = []
+
+    def theta_power(self, a: int) -> QSeries:
+        power = self._theta.get(a)
+        if power is None:
+            power = theta(self.precision).series if a == 1 else \
+                self.theta_power(a - a // 2) * self.theta_power(a // 2)
+            self._theta[a] = power
+        return power
+
+    def f2_power(self, b: int) -> QSeries:
+        powers = self._f2
+        if not powers:
+            powers.append(QSeries.from_row(RATIONAL, [
+                s if n % 2 else 0
+                for n, s in enumerate(sigma_table(1, self.precision))]))
+        while len(powers) < b:
+            powers.append(powers[-1] * powers[0])
+        return powers[b - 1]
 
 
 def _echelon(work: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -169,32 +190,50 @@ def _echelon(work: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return work[:len(pivots)], pivots
 
 
-def _combination(rows: list[tuple], coord, length: int) -> QSeries:
-    """The first `length` entries of sum(coord[b] * rows[b]) for integer
-    rows and rational coord, formed over Z with one common denominator."""
+def _evaluate(k: int, coord, rungs: _Rungs) -> QSeries:
+    """sum(coord[b] theta^(eps + 4 (top - b)) F_2^b), 2k + 1 = 4 top + eps,
+    at the rungs' precision: theta^eps times the Horner scheme in
+    X = theta^4 over the powers of F_2, formed over Z with one common
+    denominator, so it takes top - b0 + 1 full-length products, b0 the
+    first nonzero coordinate."""
+    top, eps = divmod(2 * k + 1, 4)
     weights = QSeries.rational(coord)
-    terms = [(c, row) for c, row in zip(weights.nums, rows) if c]
-    return QSeries.from_row(RATIONAL, [sum(c * row[i] for c, row in terms)
-                                       for i in range(length)], weights.den)
+    c = weights.nums
+    x = rungs.theta_power(4)
+    acc = x.scale(c[0]) if c[0] else None
+    for b in range(1, top + 1):
+        if c[b]:
+            term = rungs.f2_power(b).scale(c[b])
+            acc = term if acc is None else acc + term
+        if b < top and acc is not None:
+            acc = acc * x
+    return QSeries.from_row(RATIONAL, (acc * rungs.theta_power(eps)).nums,
+                            weights.den)
 
 
-def _plus_space(k: int, precision: int) -> tuple[
-        list[tuple[int, ...]], list[int], list[tuple[Fraction, ...]]]:
-    """The graded rows, at least `precision` long, the echelon pivots n_i
-    of M+_{k+1/2}, and the coordinates of each basis form in the rows."""
+def _plus_space(k: int) -> tuple[list[int], list[tuple[Fraction, ...]]]:
+    """The echelon pivots n_i of M+_{k+1/2} and the coordinates of each
+    basis form in the graded rows theta^(eps + 4j) F_2^b, j = top - b."""
     if k < 2:
         raise ValueError("the plus-space basis needs k >= 2")
-    size = (2 * k + 1) // 4 + 1
+    top, eps = divmod(2 * k + 1, 4)
+    size = top + 1
     # the plus conditions are read from the first 4 * size coefficients:
     # twice as many conditions as rows, and more than twice the coefficients
     # any weight up to 121/2 needs; the dimension check makes the solve a
     # proof either way
     length = 4 * size
-    rows = _graded_rows(k, max(precision, length))
+    rungs = _Rungs(length)
+    x = rungs.theta_power(4)
+    leads = [rungs.theta_power(eps)]
+    for _ in range(top):
+        leads.append(leads[-1] * x)
+    rows = [leads[top].nums] + [(leads[top - b] * rungs.f2_power(b)).nums
+                                for b in range(1, size)]
     # row b is q^b + O(q^(b+1)), so integer back-substitution gives forms
     # g_b = q^b + O(q^size); each carries its coordinates in the rows
     # behind its first `length` coefficients
-    head = [list(row[:length]) + [int(b == c) for c in range(size)]
+    head = [list(row) + [int(b == c) for c in range(size)]
             for b, row in enumerate(rows)]
     for b in range(size - 2, -1, -1):
         for c in range(b + 1, size):
@@ -218,7 +257,7 @@ def _plus_space(k: int, precision: int) -> tuple[
             "the plus conditions on %d coefficients leave dimension %d in "
             "weight %d/2, not 1 + dim S_%d = %d"
             % (length, len(basis), 2 * k + 1, 2 * k, 1 + dim_s(2 * k)))
-    return rows, [n for n, _ in basis], [coord for _, coord in basis]
+    return [n for n, _ in basis], [coord for _, coord in basis]
 
 
 def plus_space_basis(k: int, precision: int) -> list[tuple[int, PlusForm]]:
@@ -228,31 +267,45 @@ def plus_space_basis(k: int, precision: int) -> list[tuple[int, PlusForm]]:
 
     Raises PlusSpaceDimensionError if the plus conditions leave a space
     whose dimension is not 1 + dim S_{2k}."""
-    rows, pivots, coords = _plus_space(k, precision)
+    pivots, coords = _plus_space(k)
+    rungs = _Rungs(precision)
     meta = FormMeta(2 * k + 1, 4)
-    return [(n, PlusForm(_combination(rows, coord, precision), meta, k))
+    return [(n, PlusForm(_evaluate(k, coord, rungs), meta, k))
             for n, coord in zip(pivots, coords)]
 
 
-def _cohen_series(r: int, precision: int) -> QSeries:
-    rows, pivots, coords = _plus_space(r, precision)
+def _cohen_coordinates(r: int) -> list[Fraction]:
+    """The coordinates of H_{r+1/2} in the graded rows: sum(cohen_h(r, n_i)
+    times the coordinates of f_i) over the plus-space basis (n_i, f_i)."""
+    pivots, coords = _plus_space(r)
     values = [cohen_h(r, n) for n in pivots]
-    coord = [sum(v * c for v, c in zip(values, column))
-             for column in zip(*coords)]
-    return _combination(rows, coord, precision)
+    return [sum(v * c for v, c in zip(values, column))
+            for column in zip(*coords)]
+
+
+def cohen_series_many(rs, precision: int) -> list[PlusForm]:
+    """[cohen_series(r, precision) for r in rs], with the theta and F_2
+    powers built once for all of them and dropped on return."""
+    if min(rs) < 2:
+        raise ValueError("cohen_series needs r >= 2 (r = 1 is the Hurwitz row)")
+    rungs = _Rungs(precision)
+    forms = []
+    for r in rs:
+        series = _cache.series_at(
+            ("cohen", r), precision,
+            lambda p: _evaluate(r, _cohen_coordinates(r), rungs))
+        forms.append(PlusForm(series, FormMeta(2 * r + 1, 4), r))
+    return forms
 
 
 def cohen_series(r: int, precision: int) -> PlusForm:
     """H_{r+1/2} as a plus form of weight r + 1/2 on level 4, r >= 2: the
     sum of cohen_h(r, n_i) f_i over the plus-space basis (n_i, f_i),
-    formed over Z with one common denominator.  Only the values at the
-    pivots are computed one by one; for r = 2, 3, 4, 5, 7 that is the
+    evaluated by the one route every plus form takes.  Only the values at
+    the pivots are computed one by one; for r = 2, 3, 4, 5, 7 that is the
     constant term zeta(1 - 2r) alone."""
-    if r < 2:
-        raise ValueError("cohen_series needs r >= 2 (r = 1 is the Hurwitz row)")
-    series = _cache.series_at(("cohen", r), precision,
-                              lambda p: _cohen_series(r, p))
-    return PlusForm(series, FormMeta(2 * r + 1, 4), r)
+    (form,) = cohen_series_many((r,), precision)
+    return form
 
 
 def theta(precision: int) -> Form:
@@ -295,8 +348,8 @@ def plus_isomorphism(k: int, f: Form | None, h: Form | None,
         first, second = theta(precision).series, cohen_series(2, precision).series
     else:
         expect_f, expect_h = 2 * (k - 3), 2 * (k - 5)
-        first = cohen_series(3, precision).series
-        second = cohen_series(5, precision).series
+        first, second = (form.series
+                         for form in cohen_series_many((3, 5), precision))
     total = QSeries.zero(RATIONAL, precision)
     for form, expect, partner in ((f, expect_f, first), (h, expect_h, second)):
         if form is None:

@@ -21,6 +21,7 @@ from fractions import Fraction
 from . import _cache
 from .cohen_eisenstein import (
     cohen_series,
+    cohen_series_many,
     forbidden_residues,
     g_ab,
     plus_space_basis,
@@ -82,8 +83,7 @@ def _check_support(name: str, series: QSeries, allowed) -> None:
 
 
 def _phi_series(k: int, precision: int) -> QSeries:
-    c3 = cohen_series(3, precision).series
-    c5 = cohen_series(5, precision).series
+    c3, c5 = (form.series for form in cohen_series_many((3, 5), precision))
     heavy = c3 * r_t(k - 3, precision).series
     light = c5 * r_t(k - 5, precision).series
     return 28 * heavy - Fraction(44, 3) * light

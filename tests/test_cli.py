@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from plusforms import census, cli
+from plusforms.qseries import QSeries
 
 
 def run(capsys, *argv):
@@ -697,6 +698,41 @@ class TestFactorizationBounds:
         monkeypatch.setenv("PLUSFORMS_PREC_CAP", "50")
         code, _, err = run(capsys, "verify", "ut:999")
         assert code == 64 and "999 is not an odd prime" in err
+
+    # remark3 solves plus_space_basis(6, P), so it takes the cohen estimate
+    # at r = 6; rt and delta have estimates of their own in P alone
+    @pytest.mark.parametrize("argv, builder", [
+        (["verify", "remark3", "--prec", "103148"], "cusp_line_13_half"),
+        (["verify", "rt", "--prec", "55810"], "r_t"),
+        (["expand", "--form", "delta", "--prec", "248121"], "delta"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_refuses_a_cost_above_the_ceiling(self, capsys, monkeypatch,
+                                              argv, builder):
+        monkeypatch.delenv("PLUSFORMS_PREC_CAP", raising=False)
+        monkeypatch.setattr(cli, builder, _refuse)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 64 and out == ""
+        assert "cost estimate" in err and "P = %s" % argv[-1] in err
+
+    def test_accepts_the_largest_cost(self, capsys, monkeypatch):
+        monkeypatch.delenv("PLUSFORMS_PREC_CAP", raising=False)
+        requests = []
+        cheap = cli.theta_off_multiples_of_three
+        one = cli.r_t(0, 1)
+        monkeypatch.setattr(cli, "cusp_line_13_half", lambda p:
+                            requests.append(("remark3", p)) or cheap(p))
+        monkeypatch.setattr(cli, "r_t", lambda t, p: requests.append(
+            ("r_t", p)) or one._replace(series=QSeries.one(one.series.ring, p)))
+        monkeypatch.setattr(cli, "delta", lambda p:
+                            requests.append(("delta", p)) or cli.theta(p))
+        assert run(capsys, "verify", "remark3", "--prec", "103147")[0] == 0
+        assert run(capsys, "verify", "rt", "--prec", "55809")[0] == 0
+        assert run(capsys, "expand", "--form", "delta",
+                   "--prec", "248120")[0] == 0
+        assert requests == [("remark3", 103147)] + [("r_t", 55809)] * 20 \
+            + [("delta", 248120)]
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -13,11 +14,13 @@ from plusforms.cohen_eisenstein import (
     WeightMismatchError,
     cohen_h,
     cohen_series,
+    cohen_series_many,
     g_ab,
     plus_isomorphism,
     plus_space_basis,
     theta,
 )
+from plusforms.arith import sigma
 from plusforms.class_numbers import hurwitz, hurwitz_weighted_form_count
 from plusforms.level_one_forms import (
     FormMeta,
@@ -27,7 +30,7 @@ from plusforms.level_one_forms import (
     mk_basis,
 )
 from plusforms.operators import v_op
-from plusforms.qseries import QSeries
+from plusforms.qseries import RATIONAL, QSeries
 
 
 class TestCohenValues:
@@ -114,6 +117,70 @@ class TestSeriesAgainstValueOracle:
         _cache.clear()
         series = cohen_series(r, precision).series
         assert list(series.coeffs) == [cohen_h(r, n) for n in range(precision)]
+
+
+def full_row_oracle(k, coord, precision):
+    """The evaluation the Horner route replaced: every graded row
+    theta^(eps + 4j) F_2^b, j = top - b, built whole at `precision` and
+    combined by the coordinates `coord`."""
+    top, eps = divmod(2 * k + 1, 4)
+    th = theta(precision).series
+    f2 = QSeries.rational([sigma(1, n) if n % 2 else 0
+                           for n in range(precision)])
+    total = QSeries.zero(RATIONAL, precision)
+    for b, c in enumerate(coord):
+        total = total + (th ** (eps + 4 * (top - b)) * f2 ** b).scale(c)
+    return total
+
+
+class TestHornerAgainstFullRows:
+    """Every plus form is evaluated by Horner in theta^4 after a solve on
+    short rows; the oracle builds the full rows and combines them by the
+    solve's coordinates.  Precisions from 1 lie below the solve's length
+    4 * (floor((2k + 1) / 4) + 1)."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 40), st.integers(1, 400))
+    @example(2, 1)
+    @example(40, 1)
+    @example(40, 83)
+    @example(9, 400)
+    def test_plus_space_basis_equals_full_rows(self, k, precision):
+        _cache.clear()
+        pivots, coords = cohen_eisenstein._plus_space(k)
+        basis = plus_space_basis(k, precision)
+        assert [n for n, _ in basis] == pivots
+        for (_, form), coord in zip(basis, coords):
+            assert form.series == full_row_oracle(k, coord, precision)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 40), st.integers(1, 400))
+    @example(3, 1)
+    @example(5, 27)
+    @example(40, 2)
+    def test_cohen_series_equals_full_rows(self, r, precision):
+        _cache.clear()
+        pivots, coords = cohen_eisenstein._plus_space(r)
+        coord = [sum(cohen_h(r, n) * c for n, c in zip(pivots, column))
+                 for column in zip(*coords)]
+        assert cohen_series(r, precision).series == \
+            full_row_oracle(r, coord, precision)
+
+    def test_one_call_serves_several_weights(self):
+        _cache.clear()
+        forms = cohen_series_many((3, 5, 2), 120)
+        assert [form.k for form in forms] == [3, 5, 2]
+        for form in forms:
+            _cache.clear()
+            assert form == cohen_series(form.k, 120)
+
+    def test_no_rung_outlives_the_call(self):
+        _cache.clear()
+        cohen_series_many((3, 5), 200)
+        plus_space_basis(9, 200)
+        gc.collect()
+        assert not [obj for obj in gc.get_objects()
+                    if isinstance(obj, cohen_eisenstein._Rungs)]
 
 
 def solve_in_span(product, basis, check_to):

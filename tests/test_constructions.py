@@ -91,6 +91,33 @@ class TestPhi:
         for k in (11, 13):
             assert phi(k, 90).series.reduce_mod(3).coeffs == base.coeffs
 
+    def test_cold_build_takes_nine_full_length_products(self, monkeypatch):
+        # the theta and F_2 rungs (theta^2, theta^3, theta^4, F_2^2) are
+        # built once for H_{7/2} and H_{11/2}, each Cohen series is one
+        # Horner pass in theta^4, and phi adds two products with R_t(4z);
+        # building every graded row whole for each series takes 15
+        precision = 600
+        full = []
+        multiply = QSeries.__mul__
+
+        def counting(a, b):
+            if isinstance(b, QSeries) and \
+                    a.precision == b.precision == precision:
+                full.append(a)
+            return multiply(a, b)
+
+        _cache.clear()
+        monkeypatch.setattr(QSeries, "__mul__", counting)
+        phi(9, precision)
+        assert 0 < len(full) <= 9
+
+    def test_cold_build_caches_only_its_series(self):
+        # the shared rungs live only as long as the build
+        _cache.clear()
+        phi(9, 300)
+        assert set(_cache._store) == {("cohen", 3), ("cohen", 5),
+                                      ("phi", 9), ("r_t", 4), ("r_t", 6)}
+
 
 class TestF:
     def test_multiples_of_three_removed(self):
