@@ -62,16 +62,18 @@ VERIFY_CEILING = 10 ** 6
 # taken, the exponents of the index and of P in the cost estimate of a
 # build at --prec P, and the largest estimate taken.  F and psi10 count as
 # phi:9 and phi:10, and verify remark3, which reads plus_space_basis(6, P),
-# as cohen:6.  Cold on one Xeon core, the plus-space solve grows steeply in
-# r (at precision 10: 0.4 s at r = 100, 1.2 s at 150) and cohen:r takes at
-# most about 6.5e-9 r^2 P^1.7 s ((100, 3766): 78 s, (50, 8000): 39 s,
-# (20, 20000): 15 s; remark3 at 103147: 26 s); the E_4 power rows of R_t
+# as cohen:6.  Cold on one Xeon core, the plus-space basis grows in r (at
+# precision 10: 0.16 s at r = 100, 0.33 s at 150, 0.63 s at 200) and
+# cohen:r takes at most about 3.5e-10 r^2 P^1.7 s ((100, 3766): 4.2 s,
+# (50, 8000): 3.4 s, (20, 20000): 2.2 s; remark3 at 103147: 3.4 s), so
+# its limit, kept until the product kernel changes, is a few seconds
+# rather than a minute; the E_4 power rows of R_t
 # widen linearly in k (phi:2001 --prec 4000: 31 s); phi:k takes at most
 # 2.2e-9 k P^1.9 s (phi:999 --prec 8155: 51 s), and psi:k, verify psi:k
 # too, at most 3.3e-10 k^1.4 P^1.75 s.  verify rt, all R_t with t <= 40,
 # takes about 1.8e-7 P^1.8 s (8.6 s at 2e4, 64 s at 6e4) and delta about
-# 2.5e-7 P^1.55 s (14 s at 1e5, 76 s at 3e5).  So each estimate's limit is
-# about a minute.
+# 2.5e-7 P^1.55 s (14 s at 1e5, 76 s at 3e5).  So each other estimate's
+# limit is about a minute.
 COST_MODELS = {"cohen": ("r", 100, 2, 1.7, 1.2e10),
                "phi": ("k", 1000, 1, 1.9, 2.7e10),
                "psi": ("k", 1000, 1.4, 1.75, 1.8e11),
@@ -234,7 +236,7 @@ def _verify_remark3(precision, units) -> CongruenceReport:
     their sturm_plan (43) is insufficient precision."""
     precision = _verify_precision("verify remark3",
                                   300 if precision is None else precision)
-    # the cusp line is read off plus_space_basis(6, P), the cohen:6 solve
+    # the cusp line is read off plus_space_basis(6, P), the cohen:6 basis
     _check_cost("verify remark3", "cohen", 6, precision)
     lhs = cusp_line_13_half(precision)
     rhs = theta_off_multiples_of_three(precision)

@@ -1,32 +1,29 @@
 """Cohen-Eisenstein series, theta, the Kohnen plus space and its
 isomorphism with pairs of level-one forms.
 
-M_{k+1/2}(Gamma_0(4)) is spanned by the integer rows theta^a F_2^b with
-a + 4b = 2k + 1, where F_2 = sum(sigma_1(n) q^n) over odd n.  The plus
-space M+_{k+1/2} is cut out of it by the linear conditions that the q^n
-coefficient vanishes whenever (-1)^k n = 2, 3 mod 4.  plus_space_basis
-solves those conditions once per weight on the first few coefficients, in
-one exact elimination.  Integer back-substitution turns the rows into forms
-g_b = q^b + O(q^size); one echelon of the allowed g_b, read first at the
-forbidden coefficients, then at the allowed q^b, then at their coordinates
-in the rows, leaves the echelon basis of the kernel in the rows that pivot
-past the forbidden block.  Their number is checked against Kohnen's
-dimension dim M+_{k+1/2} = dim M_{2k} = 1 + dim S_{2k} (k >= 2).  Every
-plus form lies in the kernel of any finite set of plus conditions, so a
-kernel of that dimension is the plus space itself: the solve proves its
-result.  It reads the rows only at its own length, 4 (top + 1)
-coefficients for 2k + 1 = 4 top + eps, and keeps only the pivots and each
-basis form's coordinates in the rows.
+The plus space M+_{k+1/2}(Gamma_0(4)) holds the forms whose q^n coefficient
+vanishes whenever (-1)^k n = 2, 3 mod 4.  By Kohnen's isomorphism (Math.
+Ann. 248, 1980) it is the sum of the images
 
-Every plus form, a basis element or a Cohen series, is then evaluated at
-the requested precision by one routine: with X = theta^4 and Y = F_2 it
-forms theta^eps sum(c_b X^(top-b) Y^b) by Horner in X over the powers of
-Y, over Z with one common denominator.  A form whose first nonzero
-coordinate is c_b0 takes top - b0 + 1 full-length products.  Building every
-row whole would take about 3 top, so one form is cheaper this way and a
-basis of dimension d >= 4 (from about k = 20) dearer.  The powers of theta
-and F_2 are built once per call, shared by the forms of that call (H_{7/2}
-and H_{11/2} for phi), and dropped when it returns.
+    even k: M_k(4z) theta + M_{k-2}(4z) H_{5/2},
+    odd k:  M_{k-3}(4z) H_{7/2} + M_{k-5}(4z) H_{11/2},
+
+of dimension dim M_{2k} = 1 + dim S_{2k} (k >= 2).  Each partner besides
+theta is a seed: its plus space (r = 2, 3, 5) is a line, and Cohen's
+identities (Math. Ann. 217, 1975) give it from theta^4 and
+F_2 = sum(sigma_1(n) q^n) over odd n, scaled to its constant term
+zeta(1 - 2r).  One call builds only the seeds it needs, and they share
+theta^2, theta^3 and theta^4.
+
+plus_space_basis(k, P) multiplies every monomial E_4^a E_6^b(4z) of each
+partner's weight by that partner; the product kernel takes such a pair in
+quarter-length pieces.  One exact elimination of the images' first
+floor((2k+1)/4) + 1 coefficients, beside a change-of-basis block, gives
+the echelon pivots and each basis form's weights on the images.  That
+length does not depend on P: a nonzero plus form f has f^4 of weight
+4k + 2 on Gamma_0(4), whose Sturm bound is 2k + 1, so f has order at most
+floor((2k+1)/4).  The rank is checked against Kohnen's dimension, which
+proves that the images span the plus space.
 
 A plus form is fixed by its coefficients at the basis pivots, so the
 Eisenstein series H_{r+1/2} = sum(H(r, N) q^N) needs only the single values
@@ -35,7 +32,8 @@ Eisenstein series H_{r+1/2} = sum(H(r, N) q^N) needs only the single values
     H(r, N) = L(1-r, chi_D) * sum(mu(d) chi_D(d) d^(r-1) sigma_{2r-1}(f/d))
               over d | f, where (-1)^r N = D f^2 with D fundamental,
 
-with L(1-r, chi_D) = -B_{r,chi_D}/r, at the pivots.  For r = 2, 3, 4, 5, 7
+with L(1-r, chi_D) = -B_{r,chi_D}/r, at the pivots, and cohen_series
+combines the images once by sum(H(r, n_i) (weights of f_i)).  For r = 4, 7
 the cusp space is zero, the only pivot is N = 0, and no L-value is computed.
 cohen_h evaluates the formula at any single N; it is also the oracle the
 tests hold the series against.
@@ -46,7 +44,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from . import _cache
 from .arith import (
@@ -57,7 +55,7 @@ from .arith import (
     sigma_table,
 )
 from .class_numbers import gen_bernoulli, hurwitz, hurwitz_numbers
-from .level_one_forms import Form, FormMeta, bernoulli, dim_s
+from .level_one_forms import Form, FormMeta, bernoulli, dim_s, mk_basis
 from .operators import dilate4, v4_precision
 from .qseries import QSeries, RATIONAL
 
@@ -136,36 +134,6 @@ def cohen_h(r: int, n: int) -> Fraction:
     return _l_value(r, d) * acc
 
 
-class _Rungs:
-    """theta^a (a <= 4) and F_2^b at one precision, each built on first use
-    and kept only as long as the object: one call's plus forms share them."""
-
-    __slots__ = ("precision", "_theta", "_f2")
-
-    def __init__(self, precision: int):
-        self.precision = precision
-        self._theta: dict[int, QSeries] = {}
-        self._f2: list[QSeries] = []
-
-    def theta_power(self, a: int) -> QSeries:
-        power = self._theta.get(a)
-        if power is None:
-            power = theta(self.precision).series if a == 1 else \
-                self.theta_power(a - a // 2) * self.theta_power(a // 2)
-            self._theta[a] = power
-        return power
-
-    def f2_power(self, b: int) -> QSeries:
-        powers = self._f2
-        if not powers:
-            powers.append(QSeries.from_row(RATIONAL, [
-                s if n % 2 else 0
-                for n, s in enumerate(sigma_table(1, self.precision))]))
-        while len(powers) < b:
-            powers.append(powers[-1] * powers[0])
-        return powers[b - 1]
-
-
 def _echelon(work: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form over Q of integer rows, rewritten in place:
     the nonzero rows, scaled to integers with content 1, and their pivot
@@ -190,74 +158,82 @@ def _echelon(work: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return work[:len(pivots)], pivots
 
 
-def _evaluate(k: int, coord, rungs: _Rungs) -> QSeries:
-    """sum(coord[b] theta^(eps + 4 (top - b)) F_2^b), 2k + 1 = 4 top + eps,
-    at the rungs' precision: theta^eps times the Horner scheme in
-    X = theta^4 over the powers of F_2, formed over Z with one common
-    denominator, so it takes top - b0 + 1 full-length products, b0 the
-    first nonzero coordinate."""
-    top, eps = divmod(2 * k + 1, 4)
-    weights = QSeries.rational(coord)
-    c = weights.nums
-    x = rungs.theta_power(4)
-    acc = x.scale(c[0]) if c[0] else None
-    for b in range(1, top + 1):
-        if c[b]:
-            term = rungs.f2_power(b).scale(c[b])
-            acc = term if acc is None else acc + term
-        if b < top and acc is not None:
-            acc = acc * x
-    return QSeries.from_row(RATIONAL, (acc * rungs.theta_power(eps)).nums,
-                            weights.den)
+def _seed(r: int, rungs: dict, precision: int) -> QSeries:
+    """H_{r+1/2} for r = 2, 3, 5 by Cohen's identities in X = theta^4 and
+    Y = F_2:
+
+        H_{5/2} = zeta(-3) theta (X - 20 Y),
+        H_{7/2} = zeta(-5) theta^3 (X - 14 Y),
+        H_{11/2} = zeta(-9) theta^3 ((X - 22 Y) X + 88 Y^2).
+
+    `rungs` keeps theta, theta^2, X and Y, and theta^3 once a seed needs
+    it, for the other seeds of one call."""
+    if not rungs:
+        th = theta(precision).series
+        th2 = th * th
+        rungs.update(theta=th, theta2=th2, x=th2 * th2, y=QSeries.from_row(
+            RATIONAL, [s if n % 2 else 0
+                       for n, s in enumerate(sigma_table(1, precision))]))
+    x, y = rungs["x"], rungs["y"]
+    if r == 2:
+        body = rungs["theta"] * (x - 20 * y)
+    else:
+        if "theta3" not in rungs:
+            rungs["theta3"] = rungs["theta2"] * rungs["theta"]
+        body = rungs["theta3"] * (x - 14 * y if r == 3
+                                  else (x - 22 * y) * x + 88 * (y * y))
+    return body.scale(cohen_h(r, 0))
 
 
-def _plus_space(k: int) -> tuple[list[int], list[tuple[Fraction, ...]]]:
-    """The echelon pivots n_i of M+_{k+1/2} and the coordinates of each
-    basis form in the graded rows theta^(eps + 4j) F_2^b, j = top - b."""
+def _partners(k: int, precision: int) -> tuple[tuple[int, QSeries], ...]:
+    """Kohnen's isomorphism in weight k + 1/2 as pairs (w, g), one per
+    summand M_w(4z) g: (k, theta) and (k - 2, H_{5/2}) for even k,
+    (k - 3, H_{7/2}) and (k - 5, H_{11/2}) for odd k."""
+    if k % 2 == 0:
+        return ((k, theta(precision).series),
+                (k - 2, cohen_series(2, precision).series))
+    h7, h11 = cohen_series_many((3, 5), precision)
+    return (k - 3, h7.series), (k - 5, h11.series)
+
+
+def _kohnen_basis(k: int, precision: int):
+    """The rows of the isomorphism images E_4^a E_6^b(4z) g at `precision`
+    (at least the solve's length), and the echelon basis of M+_{k+1/2} as
+    pairs (n_i, weights of f_i on those rows)."""
     if k < 2:
         raise ValueError("the plus-space basis needs k >= 2")
-    top, eps = divmod(2 * k + 1, 4)
-    size = top + 1
-    # the plus conditions are read from the first 4 * size coefficients:
-    # twice as many conditions as rows, and more than twice the coefficients
-    # any weight up to 121/2 needs; the dimension check makes the solve a
-    # proof either way
-    length = 4 * size
-    rungs = _Rungs(length)
-    x = rungs.theta_power(4)
-    leads = [rungs.theta_power(eps)]
-    for _ in range(top):
-        leads.append(leads[-1] * x)
-    rows = [leads[top].nums] + [(leads[top - b] * rungs.f2_power(b)).nums
-                                for b in range(1, size)]
-    # row b is q^b + O(q^(b+1)), so integer back-substitution gives forms
-    # g_b = q^b + O(q^size); each carries its coordinates in the rows
-    # behind its first `length` coefficients
-    head = [list(row) + [int(b == c) for c in range(size)]
-            for b, row in enumerate(rows)]
-    for b in range(size - 2, -1, -1):
-        for c in range(b + 1, size):
-            f = head[b][c]
-            if f:
-                head[b] = [u - f * v for u, v in zip(head[b], head[c])]
-    # sum(x_b g_b) is a plus form below q^length iff x_b = 0 at forbidden
-    # b < size and the forbidden coefficients from q^size on vanish; g_b
-    # reads x_b at the allowed q^b, so the dim(allowed) - rank(forbidden)
-    # rows that pivot past the forbidden block are the echelon basis
-    bad = forbidden_residues(k)
-    unknowns = [b for b in range(size) if b % 4 not in bad]
-    columns = [n for n in range(size, length) if n % 4 in bad] + unknowns
-    skip = len(columns) - len(unknowns)
-    echelon, pivots = _echelon([[head[b][n] for n in columns]
-                                + head[b][length:] for b in unknowns])
-    basis = [(columns[col], tuple(Fraction(v, row[col]) for v in row[-size:]))
-             for row, col in zip(echelon, pivots) if col >= skip]
+    # a nonzero plus form f has f^4 of weight 4k + 2 on Gamma_0(4), whose
+    # Sturm bound is 2k + 1, so f has order at most (2k + 1) / 4 and its
+    # first `length` coefficients fix it, whatever the precision
+    length = (2 * k + 1) // 4 + 1
+    precision = max(precision, length)
+    small = v4_precision(precision)
+    rows = [(dilate4(f.series, precision) * g).nums
+            for w, g in _partners(k, precision) if w >= 0 and w != 2
+            for f in mk_basis(w, small)]
+    eye = range(len(rows))
+    echelon, pivots = _echelon([list(row[:length]) + [int(i == j) for j in eye]
+                                for i, row in zip(eye, rows)])
+    basis = [(col, [Fraction(c, row[col]) for c in row[length:]])
+             for row, col in zip(echelon, pivots) if col < length]
     if len(basis) != 1 + dim_s(2 * k):
         raise PlusSpaceDimensionError(
-            "the plus conditions on %d coefficients leave dimension %d in "
-            "weight %d/2, not 1 + dim S_%d = %d"
-            % (length, len(basis), 2 * k + 1, 2 * k, 1 + dim_s(2 * k)))
-    return [n for n, _ in basis], [coord for _, coord in basis]
+            "the %d isomorphism images span dimension %d in weight %d/2, "
+            "not 1 + dim S_%d = %d"
+            % (len(rows), len(basis), 2 * k + 1, 2 * k, 1 + dim_s(2 * k)))
+    return rows, basis
+
+
+def _combine(weights, rows, precision: int) -> QSeries:
+    """sum(weights[j] rows[j]) for rational weights and integer rows, cut
+    to `precision` and formed over Z with one common denominator."""
+    den = lcm(*(w.denominator for w in weights))
+    acc = [0] * precision
+    for w, row in zip(weights, rows):
+        if w:
+            c = w.numerator * (den // w.denominator)
+            acc = [a + c * v for a, v in zip(acc, row)]
+    return QSeries.from_row(RATIONAL, acc, den)
 
 
 def plus_space_basis(k: int, precision: int) -> list[tuple[int, PlusForm]]:
@@ -265,45 +241,47 @@ def plus_space_basis(k: int, precision: int) -> list[tuple[int, PlusForm]]:
     (n_i, f_i) with the q^(n_j) coefficient of f_i equal to 1 if i = j
     and 0 otherwise; n_0 = 0 and f_1, f_2, ... span the cusp space S+.
 
-    Raises PlusSpaceDimensionError if the plus conditions leave a space
+    Raises PlusSpaceDimensionError if the isomorphism images span a space
     whose dimension is not 1 + dim S_{2k}."""
-    pivots, coords = _plus_space(k)
-    rungs = _Rungs(precision)
+    rows, basis = _kohnen_basis(k, precision)
     meta = FormMeta(2 * k + 1, 4)
-    return [(n, PlusForm(_evaluate(k, coord, rungs), meta, k))
-            for n, coord in zip(pivots, coords)]
+    return [(n, PlusForm(_combine(weights, rows, precision), meta, k))
+            for n, weights in basis]
 
 
-def _cohen_coordinates(r: int) -> list[Fraction]:
-    """The coordinates of H_{r+1/2} in the graded rows: sum(cohen_h(r, n_i)
-    times the coordinates of f_i) over the plus-space basis (n_i, f_i)."""
-    pivots, coords = _plus_space(r)
-    values = [cohen_h(r, n) for n in pivots]
-    return [sum(v * c for v, c in zip(values, column))
-            for column in zip(*coords)]
+def _cohen_series(r: int, precision: int) -> QSeries:
+    """sum(cohen_h(r, n_i) f_i) over the plus-space basis (n_i, f_i),
+    combined once on the image rows."""
+    rows, basis = _kohnen_basis(r, precision)
+    values = [cohen_h(r, n) for n, _ in basis]
+    return _combine([sum(v * c for v, c in zip(values, column))
+                     for column in zip(*(w for _, w in basis))],
+                    rows, precision)
 
 
 def cohen_series_many(rs, precision: int) -> list[PlusForm]:
-    """[cohen_series(r, precision) for r in rs], with the theta and F_2
-    powers built once for all of them and dropped on return."""
-    if min(rs) < 2:
+    """[cohen_series(r, precision) for r in rs], with theta^2, theta^3,
+    theta^4 and F_2 built once for the seeds r = 2, 3, 5 among them."""
+    rs = tuple(rs)
+    if any(r < 2 for r in rs):
         raise ValueError("cohen_series needs r >= 2 (r = 1 is the Hurwitz row)")
-    rungs = _Rungs(precision)
+    rungs: dict = {}
     forms = []
     for r in rs:
         series = _cache.series_at(
             ("cohen", r), precision,
-            lambda p: _evaluate(r, _cohen_coordinates(r), rungs))
+            lambda p: _seed(r, rungs, p) if r in (2, 3, 5)
+            else _cohen_series(r, p))
         forms.append(PlusForm(series, FormMeta(2 * r + 1, 4), r))
     return forms
 
 
 def cohen_series(r: int, precision: int) -> PlusForm:
-    """H_{r+1/2} as a plus form of weight r + 1/2 on level 4, r >= 2: the
-    sum of cohen_h(r, n_i) f_i over the plus-space basis (n_i, f_i),
-    evaluated by the one route every plus form takes.  Only the values at
-    the pivots are computed one by one; for r = 2, 3, 4, 5, 7 that is the
-    constant term zeta(1 - 2r) alone."""
+    """H_{r+1/2} as a plus form of weight r + 1/2 on level 4, r >= 2: a
+    seed for r = 2, 3, 5, otherwise the sum of cohen_h(r, n_i) f_i over the
+    plus-space basis (n_i, f_i).  Only the values at the pivots are
+    computed one by one; for r = 4 and 7 that is the constant term
+    zeta(1 - 2r) alone."""
     (form,) = cohen_series_many((r,), precision)
     return form
 
@@ -343,21 +321,14 @@ def plus_isomorphism(k: int, f: Form | None, h: Form | None,
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    if k % 2 == 0:
-        expect_f, expect_h = 2 * k, 2 * (k - 2)
-        first, second = theta(precision).series, cohen_series(2, precision).series
-    else:
-        expect_f, expect_h = 2 * (k - 3), 2 * (k - 5)
-        first, second = (form.series
-                         for form in cohen_series_many((3, 5), precision))
     total = QSeries.zero(RATIONAL, precision)
-    for form, expect, partner in ((f, expect_f, first), (h, expect_h, second)):
+    for form, (weight, partner) in zip((f, h), _partners(k, precision)):
         if form is None:
             continue
-        if form.meta.twice_weight != expect:
+        if form.meta.twice_weight != 2 * weight:
             raise WeightMismatchError(
                 "component of twice-weight %d where %d was required"
-                % (form.meta.twice_weight, expect)
+                % (form.meta.twice_weight, 2 * weight)
             )
         if form.series.precision < precision:
             raise ValueError("component precision %d < requested %d"

@@ -1,5 +1,5 @@
-import gc
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +12,7 @@ from plusforms.cohen_eisenstein import (
     PlusSpaceDimensionError,
     ResidueConditionViolatedError,
     WeightMismatchError,
+    _echelon,
     cohen_h,
     cohen_series,
     cohen_series_many,
@@ -119,10 +120,50 @@ class TestSeriesAgainstValueOracle:
         assert list(series.coeffs) == [cohen_h(r, n) for n in range(precision)]
 
 
+@lru_cache(maxsize=None)
+def graded_ring_solve(k):
+    """The graded-ring route to M+_{k+1/2}: the echelon pivots n_i and each
+    basis form's coordinates in the rows theta^(eps + 4j) F_2^b, j = top - b,
+    2k + 1 = 4 top + eps, which span M_{k+1/2}(Gamma_0(4)).  The plus
+    conditions are read from the rows' first 4 (top + 1) coefficients.
+    Integer back-substitution turns the rows into forms
+    g_b = q^b + O(q^(top+1)); one echelon of the allowed g_b, read first at
+    the forbidden coefficients, then at the allowed q^b, then at their
+    coordinates, leaves the basis in the rows that pivot past the
+    forbidden block."""
+    top, eps = divmod(2 * k + 1, 4)
+    size = top + 1
+    length = 4 * size
+    th = theta(length).series
+    x = th ** 4
+    f2 = QSeries.rational([sigma(1, n) if n % 2 else 0 for n in range(length)])
+    leads = [th ** eps]
+    for _ in range(top):
+        leads.append(leads[-1] * x)
+    rows = [leads[top - b] * f2 ** b for b in range(size)]
+    head = [list(row.nums) + [int(b == c) for c in range(size)]
+            for b, row in enumerate(rows)]
+    for b in range(size - 2, -1, -1):
+        for c in range(b + 1, size):
+            f = head[b][c]
+            if f:
+                head[b] = [u - f * v for u, v in zip(head[b], head[c])]
+    bad = (2, 3) if k % 2 == 0 else (1, 2)
+    unknowns = [b for b in range(size) if b % 4 not in bad]
+    columns = [n for n in range(size, length) if n % 4 in bad] + unknowns
+    skip = len(columns) - len(unknowns)
+    echelon, pivots = _echelon([[head[b][n] for n in columns]
+                                + head[b][length:] for b in unknowns])
+    basis = [(columns[col], tuple(Fraction(v, row[col]) for v in row[-size:]))
+             for row, col in zip(echelon, pivots) if col >= skip]
+    assert len(basis) == 1 + dim_s(2 * k)
+    return [n for n, _ in basis], [coord for _, coord in basis]
+
+
 def full_row_oracle(k, coord, precision):
-    """The evaluation the Horner route replaced: every graded row
-    theta^(eps + 4j) F_2^b, j = top - b, built whole at `precision` and
-    combined by the coordinates `coord`."""
+    """A plus form from its coordinates `coord` in the graded rows:
+    every row theta^(eps + 4j) F_2^b, j = top - b, built whole at
+    `precision` and combined."""
     top, eps = divmod(2 * k + 1, 4)
     th = theta(precision).series
     f2 = QSeries.rational([sigma(1, n) if n % 2 else 0
@@ -133,38 +174,45 @@ def full_row_oracle(k, coord, precision):
     return total
 
 
-class TestHornerAgainstFullRows:
-    """Every plus form is evaluated by Horner in theta^4 after a solve on
-    short rows; the oracle builds the full rows and combines them by the
-    solve's coordinates.  Precisions from 1 lie below the solve's length
-    4 * (floor((2k + 1) / 4) + 1)."""
+class TestAgainstGradedRingSolve:
+    """Every plus form is built from Kohnen's isomorphism images; the
+    oracle solves the plus conditions on the graded rows instead and builds
+    the rows whole.  Precisions from 1 lie below both solve lengths."""
 
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(2, 40), st.integers(1, 400))
+    @given(st.integers(2, 60), st.integers(1, 400))
     @example(2, 1)
     @example(40, 1)
     @example(40, 83)
     @example(9, 400)
     def test_plus_space_basis_equals_full_rows(self, k, precision):
         _cache.clear()
-        pivots, coords = cohen_eisenstein._plus_space(k)
+        pivots, coords = graded_ring_solve(k)
         basis = plus_space_basis(k, precision)
         assert [n for n, _ in basis] == pivots
         for (_, form), coord in zip(basis, coords):
             assert form.series == full_row_oracle(k, coord, precision)
 
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(2, 40), st.integers(1, 400))
+    @given(st.integers(2, 60), st.integers(1, 400))
     @example(3, 1)
     @example(5, 27)
     @example(40, 2)
     def test_cohen_series_equals_full_rows(self, r, precision):
         _cache.clear()
-        pivots, coords = cohen_eisenstein._plus_space(r)
+        pivots, coords = graded_ring_solve(r)
         coord = [sum(cohen_h(r, n) * c for n, c in zip(pivots, column))
                  for column in zip(*coords)]
         assert cohen_series(r, precision).series == \
             full_row_oracle(r, coord, precision)
+
+    @pytest.mark.parametrize("k", range(2, 61))
+    def test_pivots_lie_below_the_sturm_order(self, k):
+        # a nonzero plus form has order at most (2k + 1) / 4, so the first
+        # (2k + 1) // 4 + 1 coefficients decide the basis at any precision
+        pivots, _ = graded_ring_solve(k)
+        assert max(pivots) <= (2 * k + 1) // 4
+        assert [n for n, _ in plus_space_basis(k, 1)] == pivots
 
     def test_one_call_serves_several_weights(self):
         _cache.clear()
@@ -174,13 +222,10 @@ class TestHornerAgainstFullRows:
             _cache.clear()
             assert form == cohen_series(form.k, 120)
 
-    def test_no_rung_outlives_the_call(self):
+    def test_weights_may_come_from_a_generator(self):
         _cache.clear()
-        cohen_series_many((3, 5), 200)
-        plus_space_basis(9, 200)
-        gc.collect()
-        assert not [obj for obj in gc.get_objects()
-                    if isinstance(obj, cohen_eisenstein._Rungs)]
+        forms = cohen_series_many((r for r in (3, 5)), 20)
+        assert [form.k for form in forms] == [3, 5]
 
 
 def solve_in_span(product, basis, check_to):

@@ -92,10 +92,10 @@ class TestPhi:
             assert phi(k, 90).series.reduce_mod(3).coeffs == base.coeffs
 
     def test_cold_build_takes_nine_full_length_products(self, monkeypatch):
-        # the theta and F_2 rungs (theta^2, theta^3, theta^4, F_2^2) are
-        # built once for H_{7/2} and H_{11/2}, each Cohen series is one
-        # Horner pass in theta^4, and phi adds two products with R_t(4z);
-        # building every graded row whole for each series takes 15
+        # the seeds H_{7/2} and H_{11/2} share theta^2, theta^3 and
+        # theta^4 and take seven products between them by Cohen's
+        # identities, and phi adds two products with R_t(4z); building
+        # every graded row whole for each series takes 15
         precision = 600
         full = []
         multiply = QSeries.__mul__
@@ -112,7 +112,8 @@ class TestPhi:
         assert 0 < len(full) <= 9
 
     def test_cold_build_caches_only_its_series(self):
-        # the shared rungs live only as long as the build
+        # the seeds' shared theta powers and F_2 live only as long as
+        # the build
         _cache.clear()
         phi(9, 300)
         assert set(_cache._store) == {("cohen", 3), ("cohen", 5),
