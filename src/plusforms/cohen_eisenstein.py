@@ -15,9 +15,12 @@ F_2 = sum(sigma_1(n) q^n) over odd n, scaled to its constant term
 zeta(1 - 2r).  One call builds only the seeds it needs, and they share
 theta^2, theta^3 and theta^4.
 
-plus_space_basis(k, P) multiplies every monomial E_4^a E_6^b(4z) of each
-partner's weight by that partner; the product kernel takes such a pair in
-quarter-length pieces.  One exact elimination of the images' first
+kohnen_images is the one route from level-one forms into the plus space
+(plus_isomorphism, phi, psi, psi10 and the basis below): it dilates
+level-one series built at a quarter of the precision and multiplies them by
+the partners in use, the only ones it builds; the product kernel takes such
+a pair in quarter-length pieces.  plus_space_basis(k, P) takes the images
+of every monomial E_4^a E_6^b of each nonzero summand.  One exact elimination of the images' first
 floor((2k+1)/4) + 1 coefficients, beside a change-of-basis block, gives
 the echelon pivots and each basis form's weights on the images.  That
 length does not depend on P: a nonzero plus form f has f^4 of weight
@@ -185,15 +188,31 @@ def _seed(r: int, rungs: dict, precision: int) -> QSeries:
     return body.scale(cohen_h(r, 0))
 
 
-def _partners(k: int, precision: int) -> tuple[tuple[int, QSeries], ...]:
-    """Kohnen's isomorphism in weight k + 1/2 as pairs (w, g), one per
-    summand M_w(4z) g: (k, theta) and (k - 2, H_{5/2}) for even k,
-    (k - 3, H_{7/2}) and (k - 5, H_{11/2}) for odd k."""
-    if k % 2 == 0:
-        return ((k, theta(precision).series),
-                (k - 2, cohen_series(2, precision).series))
-    h7, h11 = cohen_series_many((3, 5), precision)
-    return (k - 3, h7.series), (k - 5, h11.series)
+def _partners(k: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Kohnen's isomorphism in weight k + 1/2 as one pair (w, r) per summand
+    M_w(4z) g, g = theta for r = 0 and H_{r+1/2} otherwise: (k, theta) and
+    (k - 2, H_{5/2}) for even k, (k - 3, H_{7/2}) and (k - 5, H_{11/2})."""
+    return ((k, 0), (k - 2, 2)) if k % 2 == 0 else ((k - 3, 3), (k - 5, 5))
+
+
+def kohnen_images(k: int, components, precision: int) -> list[PlusForm]:
+    """The plus form sum(c_i(4z) g_i) of weight k + 1/2 for each tuple
+    (c_1, c_2) in the list `components`, over the summands (w_i, g_i) of
+    _partners(k): c_i has weight w_i at v4_precision(precision), or is None
+    where its summand is unused.  Only the partners in use are built."""
+    rs = [r for _, r in _partners(k)]
+    used = {r for c in components for r, s in zip(rs, c) if s is not None}
+    seeds = sorted(used - {0})
+    partner = {r: h.series
+               for r, h in zip(seeds, cohen_series_many(seeds, precision))}
+    if 0 in used:
+        partner[0] = theta(precision).series
+    meta = FormMeta(2 * k + 1, 4)
+    terms = [[dilate4(s, precision) * partner[r]
+              for r, s in zip(rs, c) if s is not None] for c in components]
+    return [PlusForm(sum(t[1:], t[0]) if t
+                     else QSeries.zero(RATIONAL, precision), meta, k)
+            for t in terms]
 
 
 def _kohnen_basis(k: int, precision: int):
@@ -207,10 +226,11 @@ def _kohnen_basis(k: int, precision: int):
     # first `length` coefficients fix it, whatever the precision
     length = (2 * k + 1) // 4 + 1
     precision = max(precision, length)
-    small = v4_precision(precision)
-    rows = [(dilate4(f.series, precision) * g).nums
-            for w, g in _partners(k, precision) if w >= 0 and w != 2
-            for f in mk_basis(w, small)]
+    # M_w is zero for w < 0 and w = 2, and such a summand takes no partner
+    components = [(f.series, None) if i == 0 else (None, f.series)
+                  for i, (w, _) in enumerate(_partners(k)) if w >= 0 and w != 2
+                  for f in mk_basis(w, v4_precision(precision))]
+    rows = [im.series.nums for im in kohnen_images(k, components, precision)]
     eye = range(len(rows))
     echelon, pivots = _echelon([list(row[:length]) + [int(i == j) for j in eye]
                                 for i, row in zip(eye, rows)])
@@ -321,18 +341,15 @@ def plus_isomorphism(k: int, f: Form | None, h: Form | None,
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    total = QSeries.zero(RATIONAL, precision)
-    for form, (weight, partner) in zip((f, h), _partners(k, precision)):
-        if form is None:
-            continue
-        if form.meta.twice_weight != 2 * weight:
+    for form, (weight, _) in zip((f, h), _partners(k)):
+        if form is not None and form.meta.twice_weight != 2 * weight:
             raise WeightMismatchError(
                 "component of twice-weight %d where %d was required"
-                % (form.meta.twice_weight, 2 * weight)
-            )
-        if form.series.precision < precision:
+                % (form.meta.twice_weight, 2 * weight))
+        if form is not None and form.series.precision < precision:
             raise ValueError("component precision %d < requested %d"
                              % (form.series.precision, precision))
-        small = form.series.truncate(v4_precision(precision))
-        total = total + dilate4(small, precision) * partner
-    return PlusForm(total, FormMeta(2 * k + 1, 4), k)
+    small = v4_precision(precision)
+    components = [None if form is None else form.series.truncate(small)
+                  for form in (f, h)]
+    return kohnen_images(k, [components], precision)[0]

@@ -8,9 +8,9 @@ projection to n = 1 mod 3.  psi(k) = Delta(4z) R_{k-12} theta and its
 k = 10 companion play the same role along n = 2 mod 3 with the Hurwitz
 numbers H(3n).
 
-Every builder validates 3-integrality and the support constraints eagerly,
-where its construction does not already ensure them: a failure there is a
-build error, not a condition to handle.
+phi, psi and psi10's base come from cohen_eisenstein.kohnen_images, which
+checks the plus condition; every builder checks 3-integrality and the other
+supports eagerly where its construction does not ensure them.
 """
 
 from __future__ import annotations
@@ -19,26 +19,17 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import _cache
-from .cohen_eisenstein import (
-    cohen_series,
-    cohen_series_many,
-    forbidden_residues,
-    g_ab,
-    plus_space_basis,
-    theta,
-)
+from .cohen_eisenstein import g_ab, kohnen_images, plus_space_basis
 from .level_one_forms import FormMeta, delta
 from .operators import (
     Character,
     ap_project,
-    dilate4,
     e2_level_two,
     level_after_ap,
     level_after_twist,
     level_after_u,
     level_after_v,
     r_monomial,
-    r_t,
     u_op,
     v4_precision,
 )
@@ -75,18 +66,11 @@ def _check_three_integral(series: QSeries) -> None:
     series.reduce_mod(3)  # raises NonIntegralCoefficientError on failure
 
 
-def _check_support(name: str, series: QSeries, allowed) -> None:
-    for n, c in enumerate(series.nums):
-        if c and not allowed(n):
-            raise SupportError("%s has unexpected coefficient %s at q^%d"
-                               % (name, series.coefficient(n), n))
-
-
 def _phi_series(k: int, precision: int) -> QSeries:
-    c3, c5 = (form.series for form in cohen_series_many((3, 5), precision))
-    heavy = c3 * r_t(k - 3, precision).series
-    light = c5 * r_t(k - 5, precision).series
-    return 28 * heavy - Fraction(44, 3) * light
+    small = v4_precision(precision)
+    return kohnen_images(k, [(28 * r_monomial(k - 3, small),
+                              -Fraction(44, 3) * r_monomial(k - 5, small))],
+                         precision)[0].series
 
 
 def phi(k: int, precision: int) -> NamedForm:
@@ -95,11 +79,8 @@ def phi(k: int, precision: int) -> NamedForm:
         raise ValueError("phi requires odd k >= 9, got %r" % (k,))
     series = _cache.series_at(("phi", k), precision,
                               lambda p: _phi_series(k, p))
-    name = "phi:%d" % k
     _check_three_integral(series)
-    bad = forbidden_residues(k)
-    _check_support(name, series, lambda n: n % 4 not in bad)
-    return NamedForm(name, series, FormMeta(2 * k + 1, 4),
+    return NamedForm("phi:%d" % k, series, FormMeta(2 * k + 1, 4),
                      ("28*cohen(3)*r_t(%d)" % (k - 3),
                       "-44/3*cohen(5)*r_t(%d)" % (k - 5)))
 
@@ -137,8 +118,8 @@ def _psi_series(k: int, precision: int) -> QSeries:
         delta_r = delta_r * e2_level_two(small)
     elif k > 12:  # R_0 is the series 1
         delta_r = delta_r * r_monomial(k - 12, small)
-    # Delta(4z) R_{k-12} = V_4(Delta R')
-    return dilate4(delta_r, precision) * theta(precision).series
+    # Delta(4z) R_{k-12} = V_4(Delta R') is the component on theta alone
+    return kohnen_images(k, [(delta_r, None)], precision)[0].series
 
 
 def psi(k: int, precision: int) -> NamedForm:
@@ -151,19 +132,16 @@ def psi(k: int, precision: int) -> NamedForm:
         raise ValueError("psi requires even k > 10, got %r" % (k,))
     series = _cache.series_at(("psi", k), precision,
                               lambda p: _psi_series(k, p))
-    name = "psi:%d" % k
-    bad = forbidden_residues(k)
-    _check_support(name, series, lambda n: n % 4 not in bad)
     level = 8 if k == 14 else 4
     tag = "w2_bridge" if k == 14 else "r_t(%d)" % (k - 12)
-    return NamedForm(name, series, FormMeta(2 * k + 1, level),
+    return NamedForm("psi:%d" % k, series, FormMeta(2 * k + 1, level),
                      ("delta|V_4", tag, "theta"))
 
 
 def _psi10_base(precision: int) -> QSeries:
-    # R_10 = E_4(4z) E_6(4z) and R_8 = E_4(4z)^2
-    return theta(precision).series * r_t(10, precision).series \
-        - cohen_series(2, precision).series * r_t(8, precision).series
+    small = v4_precision(precision)
+    return kohnen_images(10, [(r_monomial(10, small), -r_monomial(8, small))],
+                         precision)[0].series
 
 
 def psi10(precision: int) -> NamedForm:
@@ -188,7 +166,10 @@ def hurwitz_progression(precision: int) -> NamedForm:
     level = level_after_u(base.meta.level_bound, 3)
     name = "hurwitz(3n)|n=2 mod 3"
     _check_three_integral(series)
-    _check_support(name, series, lambda n: n % 3 == 2)
+    bad = next((n for n, c in enumerate(series.nums) if c and n % 3 != 2), None)
+    if bad is not None:
+        raise SupportError("%s has unexpected coefficient %s at q^%d"
+                           % (name, series.coefficient(bad), bad))
     return NamedForm(name, series, FormMeta(3, level), ("G_{9,6}", "U_3"))
 
 

@@ -3,8 +3,9 @@
 Bernoulli numbers, the normalized Eisenstein series E_4 and E_6 (their
 divisor sums from arith.sigma_table), the discriminant cusp form Delta
 (computed as an eta product; the tests hold it against the independent
-identity Delta = (E_4^3 - E_6^2)/1728), monomial bases of M_k, and the
-dimension of level-one cusp spaces.
+identity Delta = (E_4^3 - E_6^2)/1728), the monomials E_4^a E_6^b (a
+basis of M_k, and R_t before V_4), and the dimension of level-one cusp
+spaces.
 """
 
 from __future__ import annotations
@@ -108,6 +109,20 @@ def delta(precision: int) -> Form:
                 FormMeta(24, 1))
 
 
+def monomials(exponents, precision: int) -> list[QSeries]:
+    """E_4^a E_6^b for each pair (a, b) in `exponents`.  E_4 and E_6 are
+    built once, and only if some pair needs them; a zero exponent takes no
+    factor, so no product by the series 1 is made."""
+    exponents = tuple(exponents)
+    e4, e6 = (eisenstein(w, precision).series
+              if any(pair[i] for pair in exponents) else None
+              for i, w in enumerate((4, 6)))
+    return [e4 ** a * e6 ** b if a and b
+            else e4 ** a if a
+            else e6 ** b if b
+            else QSeries.one(RATIONAL, precision) for a, b in exponents]
+
+
 def mk_basis(k: int, precision: int) -> list[Form]:
     """Monomials E_4^a E_6^b with 4a + 6b = k, listed with a descending.
 
@@ -117,16 +132,10 @@ def mk_basis(k: int, precision: int) -> list[Form]:
         raise ValueError("k must be a nonnegative even integer")
     if k == 2:
         raise Weight2EmptyError("M_2 at level one is trivial")
-    if k == 0:
-        return [Form(QSeries.one(RATIONAL, precision), FormMeta(0, 1))]
-    e4 = eisenstein(4, precision).series
-    e6 = eisenstein(6, precision).series
-    basis = []
-    for a in range(k // 4, -1, -1):
-        rem = k - 4 * a
-        if rem % 6 == 0:
-            basis.append(Form((e4 ** a) * (e6 ** (rem // 6)), FormMeta(2 * k, 1)))
-    return basis
+    exponents = [(a, (k - 4 * a) // 6) for a in range(k // 4, -1, -1)
+                 if (k - 4 * a) % 6 == 0]
+    return [Form(series, FormMeta(2 * k, 1))
+            for series in monomials(exponents, precision)]
 
 
 def dim_s(weight: int) -> int:

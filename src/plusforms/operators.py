@@ -2,9 +2,10 @@
 
 U_d and V_d act by a(n) -> a(nd) and q^n -> q^(dn); quadratic twists
 multiply a(n) by a character value; T(l^2, k) is the half-integral weight
-Hecke operator in its coefficient form; R_t is the Eisenstein monomial
-E_4(4z)^i E_6(4z)^j of weight t used to equalize weights mod 3; ap_project
-restricts a series to an arithmetic progression of exponents.
+Hecke operator in its coefficient form; R_t = E_4(4z)^i E_6(4z)^j of
+weight t equalizes weights mod 3, rebuilt per call as V_4 (dilate4, which
+only cohen_eisenstein.kohnen_images also calls) of a level_one_forms
+monomial; ap_project restricts a series to a progression of exponents.
 
 Each operator comes with a conservative level-bound rule.  The bounds are
 upper bounds only - that is all a Sturm cutoff needs.
@@ -16,10 +17,9 @@ from collections import namedtuple
 from itertools import cycle
 from math import lcm
 
-from . import _cache
 from .arith import is_prime, kronecker, kronecker_row, sigma_table
-from .level_one_forms import Form, FormMeta, eisenstein
-from .qseries import QSeries, RATIONAL
+from .level_one_forms import Form, FormMeta, monomials
+from .qseries import QSeries
 
 
 class NotOddPrimeError(ValueError):
@@ -163,25 +163,17 @@ def dilate4(g: QSeries, precision: int) -> QSeries:
 def r_monomial(t: int, precision: int) -> QSeries:
     """E_4^(floor(t/4) - m) E_6^m with m = m_of(t): R_t before V_4."""
     e6_pow = m_of(t)
-    e4_pow = t // 4 - e6_pow
-    if e4_pow < 0:
-        raise ValueError("t = %d has no nonnegative monomial exponents" % t)
-    acc = None
-    for weight, e in ((4, e4_pow), (6, e6_pow)):
-        if e:
-            piece = eisenstein(weight, precision).series ** e
-            acc = piece if acc is None else acc * piece
-    return QSeries.one(RATIONAL, precision) if acc is None else acc
+    if t == 2:
+        raise ValueError("t = 2 has no nonnegative monomial exponents")
+    return monomials([(t // 4 - e6_pow, e6_pow)], precision)[0]
 
 
 def r_t(t: int, precision: int) -> Form:
     """The weight-t monomial E_4(4z)^(floor(t/4) - m) E_6(4z)^m with
     m = (t - 4 floor(t/4))/2, over Q; identically 1 mod 3 for every valid
     even t.  t = 2 is rejected: no monomial in E_4, E_6 has weight 2."""
-    series = _cache.series_at(
-        ("r_t", t), precision,
-        lambda p: dilate4(r_monomial(t, v4_precision(p)), p))
-    return Form(series, FormMeta(2 * t, 4))
+    series = r_monomial(t, v4_precision(precision))
+    return Form(dilate4(series, precision), FormMeta(2 * t, 4))
 
 
 def e2_level_two(precision: int) -> QSeries:

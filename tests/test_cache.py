@@ -21,7 +21,8 @@ class TestBoundedStore:
         _cache.clear()
 
     def test_cap_leaves_room_for_a_session(self):
-        # a session fills 12 keys: phi 9/13, psi 12/24, cohen 3/5, six r_t
+        # a session fills 7 keys: phi 9 and 11 or 13, psi 12/24, cohen
+        # 2/3/5 (R_t is not cached); the bound keeps room for 12
         assert _cache.MAX_ENTRIES >= 4 * 12
 
     def test_store_never_exceeds_the_cap(self):

@@ -373,6 +373,21 @@ class TestPlusIsomorphism:
     def test_zero_inputs_give_zero(self):
         assert plus_isomorphism(4, None, None, 10).series.is_zero()
 
+    @pytest.mark.parametrize("build,keys", [
+        (lambda p: cohen_series(4, p), {("cohen", 4)}),
+        (lambda p: cohen_series(7, p), {("cohen", 3), ("cohen", 7)}),
+        (lambda p: plus_space_basis(3, p), {("cohen", 3)}),
+        (lambda p: plus_isomorphism(9, mk_basis(6, p)[0], None, p),
+         {("cohen", 3)}),
+        (lambda p: plus_isomorphism(4, None, None, p), set()),
+    ], ids=["cohen4", "cohen7", "basis3", "isomorphism9", "isomorphism0"])
+    def test_cold_build_makes_only_the_partners_in_use(self, build, keys):
+        # M_2 and M_w for w < 0 are zero, so at k = 4, 7 and 3 the second
+        # summand is empty and its partner H_{5/2} or H_{11/2} is not built
+        _cache.clear()
+        build(61)
+        assert set(_cache._store) == keys
+
     def test_images_of_basis_pairs_linearly_independent(self):
         # k = 12: M_12 has 2 monomials, M_10 has 1; all three images must
         # be independent, checked by exact elimination on 40 coefficients

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import residue
 from plusforms import _cache, qseries
@@ -8,6 +10,7 @@ from plusforms.class_numbers import hurwitz
 from plusforms.cohen_eisenstein import (
     cohen_h,
     cohen_series,
+    cohen_series_many,
     plus_isomorphism,
     plus_space_basis,
     theta,
@@ -43,6 +46,79 @@ DISPLAY_PHI = {4: 2, 7: 1, 19: 1, 28: 2, 40: 2, 43: 1, 52: 2, 55: 1,
                64: 2, 67: 1, 76: 1}
 DISPLAY_PSI = {8: 2, 17: 2, 20: 1, 41: 2, 44: 1, 53: 1, 56: 1, 65: 1,
                68: 2, 80: 2, 89: 2, 92: 2}
+
+
+# The named forms' formulas as they read before every plus form went through
+# kohnen_images: each product is taken whole, at the target precision.
+
+def phi_oracle(k, p):
+    """28 H_{7/2} R_{k-3} - (44/3) H_{11/2} R_{k-5}."""
+    c3, c5 = (form.series for form in cohen_series_many((3, 5), p))
+    return 28 * (c3 * r_t(k - 3, p).series) \
+        - Fraction(44, 3) * (c5 * r_t(k - 5, p).series)
+
+
+def psi_oracle(k, p):
+    """V_4(Delta R') theta: R' is 1 at k = 12 and the E_2 bridge at 14."""
+    small = v4_precision(p)
+    delta_r = delta(small).series
+    if k == 14:
+        delta_r = delta_r * e2_level_two(small)
+    elif k > 12:
+        delta_r = delta_r * r_monomial(k - 12, small)
+    return dilate4(delta_r, p) * theta(p).series
+
+
+def psi10_base_oracle(p):
+    """theta R_10 - H_{5/2} R_8, with R_10 = E_4(4z) E_6(4z), R_8 = E_4(4z)^2."""
+    return theta(p).series * r_t(10, p).series \
+        - cohen_series(2, p).series * r_t(8, p).series
+
+
+class TestAgainstTheWrittenOutFormulas:
+    # each example builds cold, so the cache serves no truncation
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(4, 20).map(lambda i: 2 * i + 1), st.integers(1, 300))
+    @example(9, 1)
+    @example(9, 2)
+    @example(41, 3)
+    @example(13, 4)
+    @example(11, 297)
+    @example(39, 298)
+    @example(9, 299)
+    @example(41, 300)
+    def test_phi(self, k, p):
+        _cache.clear()
+        assert phi(k, p).series == phi_oracle(k, p)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(6, 20).map(lambda i: 2 * i), st.integers(1, 300))
+    @example(12, 1)
+    @example(14, 2)
+    @example(40, 3)
+    @example(14, 4)
+    @example(16, 297)
+    @example(14, 298)
+    @example(24, 299)
+    @example(40, 300)
+    def test_psi(self, k, p):
+        _cache.clear()
+        assert psi(k, p).series == psi_oracle(k, p)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 300))
+    @example(1)
+    @example(2)
+    @example(3)
+    @example(4)
+    @example(297)
+    @example(298)
+    @example(299)
+    @example(300)
+    def test_psi10(self, p):
+        _cache.clear()
+        base = psi10_base_oracle(p)
+        assert psi10(p).series == ap_project(base, 2, 3).scale(2)
 
 
 @pytest.mark.parametrize("precision", [0, -1])
@@ -113,11 +189,10 @@ class TestPhi:
 
     def test_cold_build_caches_only_its_series(self):
         # the seeds' shared theta powers and F_2 live only as long as
-        # the build
+        # the build, and R_t is not cached
         _cache.clear()
         phi(9, 300)
-        assert set(_cache._store) == {("cohen", 3), ("cohen", 5),
-                                      ("phi", 9), ("r_t", 4), ("r_t", 6)}
+        assert set(_cache._store) == {("cohen", 3), ("cohen", 5), ("phi", 9)}
 
 
 class TestF:
@@ -226,6 +301,13 @@ class TestPsi:
         assert not [row for row in operands
                     if row[0] == 1 and not any(row[1:])]
 
+    @pytest.mark.parametrize("k", [12, 14, 24])
+    def test_cold_build_caches_only_its_series(self, k):
+        # psi takes the theta summand alone, so H_{5/2} is never built
+        _cache.clear()
+        psi(k, 300)
+        assert set(_cache._store) == {("psi", k)}
+
     def test_psi14_uses_level8_bridge(self):
         form = psi(14, 60)
         assert form.meta.level_bound == 8
@@ -259,9 +341,7 @@ class TestPsi10:
         # -chi3 plus its chi3^2 twist, where -chi3(n) + chi3^2(n) is 2 at
         # n = 2 mod 3 and 0 elsewhere
         assert [-CHI3(n) + CHI3_SQUARED(n) for n in range(3)] == [0, 0, 2]
-        small = v4_precision(p)
-        base = theta(p).series * dilate4(r_monomial(10, small), p) \
-            - cohen_series(2, p).series * dilate4(r_monomial(8, small), p)
+        base = psi10_base_oracle(p)
         expected = twist(base, CHI3).scale(-1) + twist(base, CHI3_SQUARED)
         assert psi10(p).series == expected
 

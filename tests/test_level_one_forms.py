@@ -2,7 +2,10 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from plusforms import qseries
 from plusforms.level_one_forms import (
     Weight2EmptyError,
     bernoulli,
@@ -10,6 +13,7 @@ from plusforms.level_one_forms import (
     dim_s,
     eisenstein,
     mk_basis,
+    monomials,
 )
 from plusforms.arith import sigma
 
@@ -87,6 +91,32 @@ class TestBasisAndDimensions:
         for k in range(4, 41, 2):
             expected = k // 12 if k % 12 == 2 else k // 12 + 1
             assert len(mk_basis(k, 3)) == expected, k
+
+    def test_never_multiplies_by_one(self, monkeypatch):
+        # a zero exponent takes no factor, so no E_4^0 or E_6^0 enters a
+        # product, and weight 0 is the series 1 with no product at all
+        kernel = qseries._kronecker
+        operands = []
+
+        def spy(a, b):
+            operands.extend((a, b))
+            return kernel(a, b)
+
+        monkeypatch.setattr(qseries, "_kronecker", spy)
+        for k in range(0, 41, 2):
+            if k != 2:
+                mk_basis(k, 12)
+        assert operands
+        assert not [row for row in operands
+                    if row[0] == 1 and not any(row[1:])]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                    min_size=1, max_size=4), st.integers(1, 40))
+    def test_monomials_equal_the_eisenstein_powers(self, exponents, p):
+        e4, e6 = eisenstein(4, p).series, eisenstein(6, p).series
+        assert monomials(exponents, p) == [e4 ** a * e6 ** b
+                                           for a, b in exponents]
 
     def test_weight_two_raises(self):
         with pytest.raises(Weight2EmptyError):
