@@ -1,14 +1,16 @@
 """Fundamental discriminants, class numbers and Hurwitz numbers.
 
 One batch engine, form_counts, counts every reduced form of discriminant
--d, primitive or not, along one class d = r mod s (any s >= 1), one numpy
-batch per first coefficient a: the forms (a, +-beta, c) in the class lie on
-one arithmetic run of indices per root beta of beta^2 = -r mod gcd(4a, s),
-and one np.add.at adds all the runs of an a.  Two tables read it: the
-census reads the count as h(-d) at fundamental -d, where every reduced form
-is primitive (census.class_number_table says why), and hurwitz_numbers
-takes the Hurwitz numbers H(n), weighting (a, 0, a) by 1/2 and (a, a, a)
-by 1/3.
+-d, primitive or not, along one class d = r mod s (any s >= 1): the forms
+(a, +-beta, c) in the class lie on one arithmetic run of indices per root
+beta of beta^2 = -r mod gcd(4a, s).  The runs of a block of a with one
+gcd(4a, s) are built at once, and np.add.at adds them in batches no longer
+than the table (and at most _BATCH_CAP entries), so one batch can hold
+many a and one a can fill several batches.  Two tables read it: the
+census reads the count as h(-d) at fundamental -d, where every reduced
+form is primitive (census.class_number_table says why), and
+hurwitz_sixfold takes 6 H(n), six times the Hurwitz numbers, weighting
+(a, 0, a) by 1/2 and (a, a, a) by 1/3; hurwitz_numbers divides it by 6.
 
 form_class_number and hurwitz_weighted_form_count enumerate the reduced
 forms of one discriminant at a time; they are the oracles the tests hold
@@ -17,8 +19,8 @@ Generalized Bernoulli numbers, over the rows of arith.kronecker_row, give
 an independent route to h through h(D) = -B_{1,chi_D}.
 
 numpy is imported inside form_counts, where the count array is built, and
-nowhere else, so only form_counts, hurwitz_numbers and hurwitz load it;
-every other routine here works on Python ints.
+nowhere else, so only form_counts and the Hurwitz rows built on it load
+it; every other routine here works on Python ints.
 """
 
 from __future__ import annotations
@@ -132,6 +134,58 @@ def gen_bernoulli(r: int, d: int) -> Fraction:
 # -- the batch engine: class numbers and Hurwitz numbers -------------------
 
 
+# the most entries one np.add.at of form_counts takes, whatever the table's
+# length: on the census tables at x = 10^7 (a Xeon with 2 MiB of L2 cache
+# per core), batches of 2^16 and 2^18 entries were both slower than 2^17
+_BATCH_CAP = 1 << 17
+
+
+def _inverses(x, m: int):
+    """x^-1 mod m entrywise, for an int64 array x prime to m >= 1: the
+    extended Euclidean algorithm, one step for every entry at once."""
+    import numpy as np
+
+    r0, r1 = np.full_like(x, m), x % m
+    s0, s1 = np.zeros_like(x), np.ones_like(x)
+    while r1.any():
+        live = r1 > 0
+        q = r0 // np.where(live, r1, 1)
+        r0, r1 = np.where(live, r1, r0), np.where(live, r0 - q * r1, 0)
+        s0, s1 = np.where(live, s1, s0), np.where(live, s0 - q * s1, s1)
+    return s0 % m
+
+
+def _add_runs(counts, lo, step, weight, less, position) -> None:
+    """Add to counts the runs lo, lo + step, ... to the end of the table,
+    `weight` at each index but one less at lo where `less` holds, by
+    np.add.at in batches of at most len(position) entries; a batch may
+    end inside a run.  position is np.arange(len(position)), made once
+    for all the calls of a table: an arange per batch made the census
+    tables at x = 10^7 about a quarter slower."""
+    import numpy as np
+
+    lengths = (len(counts) - 1 - lo) // step + 1
+    ends = np.cumsum(lengths)
+    heads = ends - lengths
+    origin = lo - step * heads  # entry e of a run is at origin + step e
+    less = heads[less]  # the entries that weigh one less
+    total = int(ends[-1]) if len(ends) else 0
+    bound = len(position)
+    for start in range(0, total, bound):
+        stop = min(start + bound, total)
+        # the runs j0 .. j1 - 1 meet [start, stop), `taken` entries each
+        j0, j1 = np.searchsorted(ends, (start, stop - 1), "right") + (0, 1)
+        run = slice(j0, j1)
+        taken = np.minimum(ends[run], stop) - np.maximum(heads[run], start)
+        index = np.repeat(step[run], taken)
+        index *= position[:stop - start]
+        index += np.repeat(origin[run] + step[run] * start, taken)
+        weights = np.repeat(weight[run], taken)
+        k0, k1 = np.searchsorted(less, (start, stop))
+        weights[less[k0:k1] - start] -= 1
+        np.add.at(counts, index, weights)
+
+
 def form_counts(limit: int, modulus: int = 1,
                 residue: int = 0):
     """N(d), the number of reduced forms of discriminant -d, primitive or
@@ -142,10 +196,17 @@ def form_counts(limit: int, modulus: int = 1,
     For each a, the forms (a, +-beta, c) in the class have c = c0 mod
     modulus / g, g = gcd(4a, modulus), so beta's run of indices starts at
     the index lo of 4a c0 - beta^2 and steps by 4a / g to the end of the
-    table.  One np.add.at adds all of a's runs: weight 2 for 0 < beta < a
-    (b = +-beta) and 1 for beta = 0 or a (b = beta only), less 1 at lo
-    when c0 = a, since (a, -beta, a) is not reduced.  The arithmetic is
-    int64, and its largest product stays under modulus^2."""
+    table: weight 2 for 0 < beta < a (b = +-beta) and 1 for beta = 0 or a
+    (b = beta only), less 1 at lo when c0 = a, since (a, -beta, a) is not
+    reduced.
+
+    The a with one g are taken together, so every division is by a
+    scalar, and the runs of a block of them are built at once: at most
+    bound / 8 pairs (a, beta), or one a's.  _add_runs adds their entries
+    in batches of at most `bound`, the table's length (or top + 1, if
+    larger) up to _BATCH_CAP, so the temporaries stay O(table) and the
+    runs of one a can span several batches.  The arithmetic is int64, and
+    its largest product stays under modulus^2."""
     import numpy as np
 
     if modulus < 1:
@@ -157,48 +218,75 @@ def form_counts(limit: int, modulus: int = 1,
     size = max(0, (limit - first) // modulus + 1)
     counts = np.zeros(size, np.int32)
     top = isqrt(max(limit, 0) // 3)
+    bound = min(max(size, top + 1), _BATCH_CAP)
+    pair_bound = max(bound // 8, top + 1)
+    position = np.arange(bound)
     shifted = first + np.arange(top + 1) ** 2  # first + beta^2
     residues = shifted % modulus
-    for a in range(1, top + 1):
-        g = gcd(4 * a, modulus)
-        step, period = 4 * a // g, modulus // g  # strides of index and c
-        inverse = pow(step, -1, period)
+    every_a = np.arange(1, top + 1)
+    gs = np.gcd(4 * every_a, modulus)
+    for g in sorted(set(gs.tolist())):
         # 4ac - beta^2 = first mod g has a solution c only for these beta
-        beta = np.flatnonzero(residues[:a + 1] % g == 0)
-        # the least c >= a with 4ac - beta^2 = first mod modulus
-        c0 = a + (residues[beta] // g * inverse - a) % period
-        lo = (4 * a * c0 - shifted[beta]) // modulus
-        # a run starts inside the table and ends at its last index
-        inside = lo < size
-        beta, c0, lo = beta[inside], c0[inside], lo[inside]
-        lengths = (size - 1 - lo) // step + 1
-        starts = np.cumsum(lengths) - lengths
-        twice = (0 < beta) & (beta < a)
-        # int32 weights, the dtype of counts, keep np.add.at on its fast path
-        weights = np.repeat(twice.astype(np.int32) + np.int32(1), lengths)
-        weights[starts[twice & (c0 == a)]] -= 1
-        np.add.at(counts, np.repeat(lo - step * starts, lengths)
-                  + step * np.arange(len(weights)), weights)
+        betas = np.flatnonzero(residues % g == 0)
+        a_g = every_a[gs == g]
+        # c steps by period = modulus / g, and the run's index by 4a / g
+        period = modulus // g
+        inverse_g = _inverses(4 * a_g // g, period)
+        # the pairs (a, beta) with beta <= a in betas, per a and up to a
+        per_a_g = np.searchsorted(betas, a_g, "right")
+        pairs = np.cumsum(per_a_g)
+        i0 = 0
+        while i0 < len(a_g):
+            before = int(pairs[i0 - 1]) if i0 else 0
+            i1 = int(np.searchsorted(pairs, before + pair_bound, "right"))
+            # the pairs of a_g[i0:i1]
+            per_a = per_a_g[i0:i1]
+            a = np.repeat(a_g[i0:i1], per_a)
+            beta = betas[np.arange(len(a))
+                         - np.repeat(pairs[i0:i1] - per_a - before, per_a)]
+            # the least c >= a with 4ac - beta^2 = first mod modulus
+            c0 = residues[beta] // g
+            c0 *= np.repeat(inverse_g[i0:i1], per_a)
+            c0 = a + (c0 - a) % period
+            lo = (4 * a * c0 - shifted[beta]) // modulus
+            # a run starts inside the table and ends at its last index
+            inside = lo < size
+            if inside.any():
+                a, beta, c0, lo = (v[inside] for v in (a, beta, c0, lo))
+                twice = (0 < beta) & (beta < a)
+                # int32 weights, the dtype of counts, keep np.add.at on its
+                # fast path; (a, -beta, a) is not reduced
+                weight = twice.astype(np.int32) + np.int32(1)
+                _add_runs(counts, lo, 4 * a // g, weight, twice & (c0 == a),
+                      position)
+            i0 = i1
     return counts
 
 
-def hurwitz_numbers(limit: int, modulus: int = 1,
-                    residue: int = 0) -> list[Fraction]:
-    """H(n) for 1 <= n <= limit with n = residue mod modulus, indexed as in
-    form_counts.
+def hurwitz_sixfold(limit: int, modulus: int = 1,
+                    residue: int = 0) -> list[int]:
+    """6 H(n) for 1 <= n <= limit with n = residue mod modulus, indexed as
+    in form_counts: 6 N(n), less 3 at n = 4a^2 and 4 at n = 3a^2.
 
     H(n) is the count N(n) of all reduced forms of discriminant -n, with
     (a, 0, a) weighted 1/2 and (a, a, a) weighted 1/3; those forms exist
     only at n = 4a^2 and n = 3a^2, one each.
     """
-    out = [Fraction(c) for c in form_counts(limit, modulus, residue).tolist()]
-    for scale, weight in ((4, Fraction(1, 2)), (3, Fraction(1, 3))):
+    out = [6 * c for c in form_counts(limit, modulus, residue).tolist()]
+    for scale, less in ((4, 3), (3, 4)):
         for a in range(1, isqrt(max(limit, 0) // scale) + 1):
             n = scale * a * a
             if (n - residue) % modulus == 0:
                 # n0 lies in [1, modulus], so (n - n0) // modulus is this
-                out[(n - 1) // modulus] -= 1 - weight
+                out[(n - 1) // modulus] -= less
     return out
+
+
+def hurwitz_numbers(limit: int, modulus: int = 1,
+                    residue: int = 0) -> list[Fraction]:
+    """H(n) for 1 <= n <= limit with n = residue mod modulus, indexed as in
+    form_counts: hurwitz_sixfold over 6."""
+    return [Fraction(v, 6) for v in hurwitz_sixfold(limit, modulus, residue)]
 
 
 def hurwitz(n: int) -> Fraction:

@@ -15,13 +15,12 @@ PLUSFORMS_PREC_CAP, when set, caps every precision the tool will use.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 from functools import partial
 
-from .census import census_with_rows, nonvanishing_census
+from .census import census_with_csv, nonvanishing_census
 from .class_numbers import class_number_of_field, field_discriminant, hurwitz
 from .cohen_eisenstein import cohen_series, theta
 from .congruence_engine import (
@@ -333,10 +332,8 @@ def _cmd_census(args) -> int:
                          % (args.x, CENSUS_CEILING))
     if args.csv:
         with _open_output(args.csv, newline="") as fh:
-            report, rows = census_with_rows(args.x)
-            writer = csv.writer(fh)
-            writer.writerow(["D", "field_discriminant", "h", "h_mod_3"])
-            writer.writerows(rows)
+            report, text = census_with_csv(args.x)
+            fh.writelines(text)
     else:
         report = nonvanishing_census(args.x)
     print(json.dumps(report.to_json_dict(), indent=2))

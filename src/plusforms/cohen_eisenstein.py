@@ -57,8 +57,15 @@ from .arith import (
     sigma,
     sigma_table,
 )
-from .class_numbers import gen_bernoulli, hurwitz, hurwitz_numbers
-from .level_one_forms import Form, FormMeta, bernoulli, dim_s, mk_basis
+from .class_numbers import gen_bernoulli, hurwitz, hurwitz_sixfold
+from .level_one_forms import (
+    Form,
+    FormMeta,
+    bernoulli,
+    dim_s,
+    mk_exponents,
+    monomials,
+)
 from .operators import dilate4, v4_precision
 from .qseries import QSeries, RATIONAL
 
@@ -170,11 +177,12 @@ def _seed(r: int, rungs: dict, precision: int) -> QSeries:
         H_{11/2} = zeta(-9) theta^3 ((X - 22 Y) X + 88 Y^2).
 
     `rungs` keeps theta, theta^2, X and Y, and theta^3 once a seed needs
-    it, for the other seeds of one call."""
-    if not rungs:
-        th = theta(precision).series
-        th2 = th * th
-        rungs.update(theta=th, theta2=th2, x=th2 * th2, y=QSeries.from_row(
+    it, for the other seeds of one call; a theta already in it is used."""
+    if "x" not in rungs:
+        if "theta" not in rungs:
+            rungs["theta"] = theta(precision).series
+        th2 = rungs["theta"] * rungs["theta"]
+        rungs.update(theta2=th2, x=th2 * th2, y=QSeries.from_row(
             RATIONAL, [s if n % 2 else 0
                        for n, s in enumerate(sigma_table(1, precision))]))
     x, y = rungs["x"], rungs["y"]
@@ -203,10 +211,13 @@ def kohnen_images(k: int, components, precision: int) -> list[PlusForm]:
     rs = [r for _, r in _partners(k)]
     used = {r for c in components for r, s in zip(rs, c) if s is not None}
     seeds = sorted(used - {0})
-    partner = {r: h.series
-               for r, h in zip(seeds, cohen_series_many(seeds, precision))}
+    partner: dict = {}
+    rungs: dict = {}
     if 0 in used:
-        partner[0] = theta(precision).series
+        # theta is also the first rung of the seeds
+        partner[0] = rungs["theta"] = theta(precision).series
+    for r, h in zip(seeds, cohen_series_many(seeds, precision, rungs)):
+        partner[r] = h.series
     meta = FormMeta(2 * k + 1, 4)
     terms = [[dilate4(s, precision) * partner[r]
               for r, s in zip(rs, c) if s is not None] for c in components]
@@ -226,10 +237,13 @@ def _kohnen_basis(k: int, precision: int):
     # first `length` coefficients fix it, whatever the precision
     length = (2 * k + 1) // 4 + 1
     precision = max(precision, length)
-    # M_w is zero for w < 0 and w = 2, and such a summand takes no partner
-    components = [(f.series, None) if i == 0 else (None, f.series)
-                  for i, (w, _) in enumerate(_partners(k)) if w >= 0 and w != 2
-                  for f in mk_basis(w, v4_precision(precision))]
+    # M_w is zero for w < 0 and w = 2, and such a summand takes no partner;
+    # one monomials call builds E_4 and E_6 once for both summands
+    summands = [(i, e) for i, (w, _) in enumerate(_partners(k))
+                if w >= 0 and w != 2 for e in mk_exponents(w)]
+    series = monomials([e for _, e in summands], v4_precision(precision))
+    components = [(s, None) if i == 0 else (None, s)
+                  for (i, _), s in zip(summands, series)]
     rows = [im.series.nums for im in kohnen_images(k, components, precision)]
     eye = range(len(rows))
     echelon, pivots = _echelon([list(row[:length]) + [int(i == j) for j in eye]
@@ -279,13 +293,15 @@ def _cohen_series(r: int, precision: int) -> QSeries:
                     rows, precision)
 
 
-def cohen_series_many(rs, precision: int) -> list[PlusForm]:
+def cohen_series_many(rs, precision: int,
+                      rungs: dict | None = None) -> list[PlusForm]:
     """[cohen_series(r, precision) for r in rs], with theta^2, theta^3,
-    theta^4 and F_2 built once for the seeds r = 2, 3, 5 among them."""
+    theta^4 and F_2 built once for the seeds r = 2, 3, 5 among them.
+    `rungs` may hold theta(precision).series under "theta" (see _seed)."""
     rs = tuple(rs)
     if any(r < 2 for r in rs):
         raise ValueError("cohen_series needs r >= 2 (r = 1 is the Hurwitz row)")
-    rungs: dict = {}
+    rungs = {} if rungs is None else rungs
     forms = []
     for r in rs:
         series = _cache.series_at(
@@ -326,10 +342,11 @@ def g_ab(a: int, b: int, precision: int) -> Form:
         raise ResidueConditionViolatedError(
             "-%d is a square mod %d; the progression is not modular" % (b, a)
         )
-    coeffs = [0] * precision
-    coeffs[b % a::a] = hurwitz_numbers(precision - 1, a, b)
+    # the row of 6 H(n), over the denominator 6
+    row = [0] * precision
+    row[b % a::a] = hurwitz_sixfold(precision - 1, a, b)
     level = a * a if a % 2 == 0 else 4 * a * a
-    return Form(QSeries.rational(coeffs), FormMeta(3, level))
+    return Form(QSeries.from_row(RATIONAL, row, 6), FormMeta(3, level))
 
 
 def plus_isomorphism(k: int, f: Form | None, h: Form | None,

@@ -123,19 +123,24 @@ def monomials(exponents, precision: int) -> list[QSeries]:
             else QSeries.one(RATIONAL, precision) for a, b in exponents]
 
 
+def mk_exponents(k: int) -> list[tuple[int, int]]:
+    """The pairs (a, b) with 4a + 6b = k, a descending: the monomials
+    E_4^a E_6^b that span M_k at level one for even k != 2."""
+    if k < 0 or k % 2:
+        raise ValueError("k must be a nonnegative even integer")
+    if k == 2:
+        raise Weight2EmptyError("M_2 at level one is trivial")
+    return [(a, (k - 4 * a) // 6) for a in range(k // 4, -1, -1)
+            if (k - 4 * a) % 6 == 0]
+
+
 def mk_basis(k: int, precision: int) -> list[Form]:
     """Monomials E_4^a E_6^b with 4a + 6b = k, listed with a descending.
 
     These span M_k at level one for even k != 2.
     """
-    if k < 0 or k % 2:
-        raise ValueError("k must be a nonnegative even integer")
-    if k == 2:
-        raise Weight2EmptyError("M_2 at level one is trivial")
-    exponents = [(a, (k - 4 * a) // 6) for a in range(k // 4, -1, -1)
-                 if (k - 4 * a) % 6 == 0]
     return [Form(series, FormMeta(2 * k, 1))
-            for series in monomials(exponents, precision)]
+            for series in monomials(mk_exponents(k), precision)]
 
 
 def dim_s(weight: int) -> int:

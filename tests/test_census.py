@@ -1,14 +1,20 @@
+import csv
 import hashlib
+import io
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy
+
 from plusforms import cli
 from plusforms.census import (
+    CSV_CHUNK_ROWS,
     FIELD_CLASSES,
     BridgeViolationError,
     beta_census_crosscheck,
+    census_csv,
     census_rows,
     class_number_table,
     fundamental_negative_mask,
@@ -185,6 +191,40 @@ class TestCensus:
             "c759f9306dd09bd73a26f238126bc5623ab9f471aee4b2043ede3d977bf55c5b"
         assert hashlib.sha256(target.read_bytes()).hexdigest() == \
             "ef9080b9032918612a0cf135ed2f445291f64814f152589865b06c4b5e7f0c90"
+
+
+def _csv_writer_text(rows):
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["D", "field_discriminant", "h", "h_mod_3"])
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+class TestCensusCsv:
+    # the CSV is formatted CSV_CHUNK_ROWS rows at a time; its text is what
+    # csv.writer writes for census_rows, at every row count around a chunk
+    X = 30000
+
+    def test_rows_fill_more_than_two_chunks(self):
+        assert len(census_rows(self.X)) > 2 * CSV_CHUNK_ROWS + 1
+
+    @pytest.mark.parametrize("count", [0, 1, CSV_CHUNK_ROWS - 1,
+                                       CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1,
+                                       2 * CSV_CHUNK_ROWS + 1])
+    def test_chunks_equal_csv_writer(self, count):
+        rows = census_rows(self.X)[:count]
+        ds, field, h, _ = numpy.array(rows, numpy.int64).reshape(-1, 4).T
+        text = "".join(census_csv(ds, field, h))
+        assert text == _csv_writer_text(rows)
+
+    def test_cli_writes_the_csv_writer_bytes(self, capsys, tmp_path):
+        target = tmp_path / "rows.csv"
+        assert cli.main(["census", "--x", str(self.X),
+                         "--csv", str(target)]) == 0
+        capsys.readouterr()
+        assert target.read_bytes() == \
+            _csv_writer_text(census_rows(self.X)).encode()
 
 
 class TestBridge:

@@ -366,7 +366,7 @@ class TestCensusCommand:
         def refuse(x):
             raise AssertionError("the census ran past the ceiling at %d" % x)
 
-        monkeypatch.setattr(cli, "census_with_rows", refuse)
+        monkeypatch.setattr(cli, "census_with_csv", refuse)
         monkeypatch.setattr(cli, "nonvanishing_census", refuse)
         above = str(cli.CENSUS_CEILING + 1)
         target = tmp_path / "rows.csv"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plusforms import _cache, cohen_eisenstein
+from plusforms import _cache, cohen_eisenstein, level_one_forms
 from plusforms.cohen_eisenstein import (
     PlusConditionError,
     PlusForm,
@@ -22,7 +22,11 @@ from plusforms.cohen_eisenstein import (
     theta,
 )
 from plusforms.arith import sigma
-from plusforms.class_numbers import hurwitz, hurwitz_weighted_form_count
+from plusforms.class_numbers import (
+    hurwitz,
+    hurwitz_numbers,
+    hurwitz_weighted_form_count,
+)
 from plusforms.level_one_forms import (
     FormMeta,
     _eta_series,
@@ -96,6 +100,27 @@ class TestPlusSpaceBasis:
     def test_needs_k_at_least_two(self):
         with pytest.raises(ValueError):
             plus_space_basis(1, 10)
+
+    def test_even_basis_builds_each_level_one_series_once(self, monkeypatch):
+        # M_12(4z) theta + M_10(4z) H_{5/2}: E_4 and E_6 serve both
+        # summands, and theta is both a partner and the seed's first rung
+        calls = []
+
+        def spy(name, built):
+            def wrapper(*args):
+                calls.append((name, *args))
+                return built(*args)
+            return wrapper
+
+        monkeypatch.setattr(level_one_forms, "eisenstein",
+                            spy("eisenstein", level_one_forms.eisenstein))
+        monkeypatch.setattr(cohen_eisenstein, "theta",
+                            spy("theta", cohen_eisenstein.theta))
+        _cache.clear()
+        plus_space_basis(12, 300)
+        assert sorted(c[:2] for c in calls if c[0] == "eisenstein") == \
+            [("eisenstein", 4), ("eisenstein", 6)]
+        assert [c for c in calls if c[0] == "theta"] == [("theta", 300)]
 
 
 class TestSeriesAgainstValueOracle:
@@ -336,6 +361,15 @@ class TestProgressionSeries:
         assert list(coeffs) == [
             hurwitz_weighted_form_count(n) if n % a == b % a else 0
             for n in range(precision)]
+
+    @pytest.mark.parametrize("a,b,precision", [
+        (9, 6, 9529), (9, 6, 4864), (4, 1, 1000), (3, 1, 2), (3, 1, 1)])
+    def test_integer_row_equals_the_fraction_row(self, a, b, precision):
+        # g_ab writes 6 H(n) over the denominator 6: the series is the one
+        # the Fraction values of hurwitz_numbers make
+        coeffs = [0] * precision
+        coeffs[b % a::a] = hurwitz_numbers(precision - 1, a, b)
+        assert g_ab(a, b, precision).series == QSeries.rational(coeffs)
 
     def test_residue_violation(self):
         with pytest.raises(ResidueConditionViolatedError):
