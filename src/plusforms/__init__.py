@@ -68,8 +68,6 @@ from .constructions import (  # noqa: F401
 from .congruence_engine import (  # noqa: F401
     CongruenceReport,
     HalfIntegralWeightError,
-    IncompatibleWeightsError,
-    equalize_and_integralize,
     index_gamma0,
     sturm_bound,
     verify_congruence,

@@ -10,13 +10,14 @@ many a and one a can fill several batches.  Two tables read it: the
 census reads the count as h(-d) at fundamental -d, where every reduced
 form is primitive (census.class_number_table says why), and
 hurwitz_sixfold takes 6 H(n), six times the Hurwitz numbers, weighting
-(a, 0, a) by 1/2 and (a, a, a) by 1/3; hurwitz_numbers divides it by 6.
+(a, 0, a) by 1/2 and (a, a, a) by 1/3; hurwitz(n) divides its one-entry
+class n mod n by 6.
 
-form_class_number and hurwitz_weighted_form_count enumerate the reduced
-forms of one discriminant at a time; they are the oracles the tests hold
-the engine against, and class_number_of_field reads form_class_number.
-Generalized Bernoulli numbers, over the rows of arith.kronecker_row, give
-an independent route to h through h(D) = -B_{1,chi_D}.
+form_class_number enumerates the reduced forms of one discriminant at a
+time: class_number_of_field reads it, and the tests hold the engine
+against it.  Generalized Bernoulli numbers, over the rows of
+arith.kronecker_row, give an independent route to h through
+h(D) = -B_{1,chi_D}.
 
 numpy is imported inside form_counts, where the count array is built, and
 nowhere else, so only form_counts and the Hurwitz rows built on it load
@@ -60,22 +61,10 @@ class Discriminant(namedtuple("Discriminant", "value is_fundamental")):
         return cls(value, is_fundamental(value))
 
 
-def _reduced_forms(disc: int):
-    """The reduced forms (a, b, c) of discriminant disc < 0, primitive or
-    not: |b| <= a <= c with b >= 0 whenever |b| = a or a = c."""
-    for a in range(1, isqrt(-disc // 3) + 1):
-        four_a = 4 * a
-        for b in range(-a + 1, a + 1):
-            num = b * b - disc
-            if num % four_a == 0:
-                c = num // four_a
-                if c > a or (c == a and b >= 0):
-                    yield a, b, c
-
-
 @lru_cache(maxsize=4096)
 def form_class_number(disc: int) -> int:
-    """Number of primitive reduced forms of discriminant disc < 0, one
+    """Number of primitive reduced forms (a, b, c) of discriminant
+    disc < 0, |b| <= a <= c with b >= 0 whenever |b| = a or a = c, one
     discriminant at a time: the oracle the batch form count is tested
     against.
 
@@ -85,8 +74,17 @@ def form_class_number(disc: int) -> int:
         raise NonNegativeInputError("discriminant must be negative")
     if disc % 4 not in (0, 1):
         raise ValueError("%d is not a discriminant" % disc)
-    return sum(1 for a, b, c in _reduced_forms(disc)
-               if gcd(gcd(a, abs(b)), c) == 1)
+    count = 0
+    for a in range(1, isqrt(-disc // 3) + 1):
+        four_a = 4 * a
+        for b in range(-a + 1, a + 1):
+            num = b * b - disc
+            if num % four_a == 0:
+                c = num // four_a
+                if (c > a or (c == a and b >= 0)) \
+                        and gcd(gcd(a, abs(b)), c) == 1:
+                    count += 1
+    return count
 
 
 def field_discriminant(d: int) -> int:
@@ -138,21 +136,6 @@ def gen_bernoulli(r: int, d: int) -> Fraction:
 # length: on the census tables at x = 10^7 (a Xeon with 2 MiB of L2 cache
 # per core), batches of 2^16 and 2^18 entries were both slower than 2^17
 _BATCH_CAP = 1 << 17
-
-
-def _inverses(x, m: int):
-    """x^-1 mod m entrywise, for an int64 array x prime to m >= 1: the
-    extended Euclidean algorithm, one step for every entry at once."""
-    import numpy as np
-
-    r0, r1 = np.full_like(x, m), x % m
-    s0, s1 = np.zeros_like(x), np.ones_like(x)
-    while r1.any():
-        live = r1 > 0
-        q = r0 // np.where(live, r1, 1)
-        r0, r1 = np.where(live, r1, r0), np.where(live, r0 - q * r1, 0)
-        s0, s1 = np.where(live, s1, s0), np.where(live, s0 - q * s1, s1)
-    return s0 % m
 
 
 def _add_runs(counts, lo, step, weight, less, position) -> None:
@@ -229,9 +212,11 @@ def form_counts(limit: int, modulus: int = 1,
         # 4ac - beta^2 = first mod g has a solution c only for these beta
         betas = np.flatnonzero(residues % g == 0)
         a_g = every_a[gs == g]
-        # c steps by period = modulus / g, and the run's index by 4a / g
+        # c steps by period = modulus / g, and the run's index by 4a / g,
+        # which is prime to period
         period = modulus // g
-        inverse_g = _inverses(4 * a_g // g, period)
+        inverse_g = np.array([pow(v, -1, period)
+                              for v in (4 * a_g // g).tolist()], np.int64)
         # the pairs (a, beta) with beta <= a in betas, per a and up to a
         per_a_g = np.searchsorted(betas, a_g, "right")
         pairs = np.cumsum(per_a_g)
@@ -282,38 +267,14 @@ def hurwitz_sixfold(limit: int, modulus: int = 1,
     return out
 
 
-def hurwitz_numbers(limit: int, modulus: int = 1,
-                    residue: int = 0) -> list[Fraction]:
-    """H(n) for 1 <= n <= limit with n = residue mod modulus, indexed as in
-    form_counts: hurwitz_sixfold over 6."""
-    return [Fraction(v, 6) for v in hurwitz_sixfold(limit, modulus, residue)]
-
-
 def hurwitz(n: int) -> Fraction:
     """Hurwitz class number H(n): H(0) = -1/12, 0 for n = 1, 2 mod 4 (no
     discriminant -n exists), and otherwise the one-element class n mod n
-    of hurwitz_numbers."""
+    of hurwitz_sixfold over 6."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return Fraction(-1, 12)
     if n % 4 in (1, 2):
         return Fraction(0)
-    return hurwitz_numbers(n, n, 0)[0]
-
-
-def hurwitz_weighted_form_count(n: int) -> Fraction:
-    """Hurwitz oracle, one n at a time: the reduced forms of discriminant
-    -n, primitive or not, with weight 1/2 for multiples of x^2 + y^2 and
-    1/3 for multiples of x^2 + xy + y^2; H(0) = -1/12."""
-    if n <= 0:
-        return Fraction(-1, 12) if n == 0 else Fraction(0)
-    total = Fraction(0)
-    for a, b, c in _reduced_forms(-n):
-        if b == 0 and a == c:
-            total += Fraction(1, 2)
-        elif a == b == c:
-            total += Fraction(1, 3)
-        else:
-            total += 1
-    return total
+    return Fraction(hurwitz_sixfold(n, n, 0)[0], 6)

@@ -26,7 +26,9 @@ coefficients below B, theta(0) = 1, and every R factor is 1 mod 3.  So
 lhs = u * rhs mod m below B gives theta lhs R = u theta rhs R' and
 lhs^2 R = u^2 rhs^2 R' below B, and theta moves no first difference: the
 reduced rows decide the integral-weight pair, and verify_congruence
-compares them alone, forming no product.
+compares them alone, forming no product.  So the engine builds neither
+theta nor any R_t; only the tests build the pair, from the public theta
+and r_t, to hold that claim.
 """
 
 from __future__ import annotations
@@ -36,19 +38,13 @@ from functools import partial
 from math import gcd, lcm
 
 from .arith import factorize
-from .cohen_eisenstein import theta
 from .constructions import NamedForm
 from .level_one_forms import FormMeta
-from .operators import r_t
 from .qseries import QSeries
 
 
 class HalfIntegralWeightError(ValueError):
     """Sturm bounds are stated for integral weights only."""
-
-
-class IncompatibleWeightsError(ValueError):
-    """The weight gap is odd, so R_t and theta cannot equalize it."""
 
 
 def index_gamma0(level: int) -> int:
@@ -107,24 +103,6 @@ def sturm_plan(lhs_meta: FormMeta, rhs_meta: FormMeta) -> SturmPlan:
     return SturmPlan(strategy, t, (up, down) if wl >= wr else (down, up),
                      twice_weight + 2 * up,
                      lcm(lhs_meta.level_bound, rhs_meta.level_bound, 4))
-
-
-def equalize_and_integralize(lhs: NamedForm, rhs: NamedForm,
-                             m: int) -> tuple[QSeries, QSeries, int, int]:
-    """The theta_integralize pair of two half-integral forms over Q: theta
-    times each side, times that side's R factor, with the plan's
-    twice-weight and level."""
-    plan = sturm_plan(lhs.meta, rhs.meta)
-    if plan.strategy != "theta_integralize":
-        raise IncompatibleWeightsError("odd weight gap: compare the squares")
-    plan.check_modulus(m)
-    precision = min(lhs.series.precision, rhs.series.precision)
-    th = theta(precision).series
-    sides = []
-    for form, weight in zip((lhs, rhs), plan.r_weights):
-        side = form.series * th
-        sides.append(side * r_t(weight, precision).series if weight else side)
-    return (*sides, plan.twice_weight, plan.level)
 
 
 class CongruenceReport(namedtuple(

@@ -29,7 +29,7 @@ from .operators import (
     level_after_twist,
     level_after_u,
     level_after_v,
-    r_monomial,
+    r_monomials,
     u_op,
     v4_precision,
 )
@@ -67,9 +67,8 @@ def _check_three_integral(series: QSeries) -> None:
 
 
 def _phi_series(k: int, precision: int) -> QSeries:
-    small = v4_precision(precision)
-    return kohnen_images(k, [(28 * r_monomial(k - 3, small),
-                              -Fraction(44, 3) * r_monomial(k - 5, small))],
+    r_3, r_5 = r_monomials((k - 3, k - 5), v4_precision(precision))
+    return kohnen_images(k, [(28 * r_3, -Fraction(44, 3) * r_5)],
                          precision)[0].series
 
 
@@ -117,7 +116,7 @@ def _psi_series(k: int, precision: int) -> QSeries:
         # keeps the support inside exponents 0, 1 mod 4
         delta_r = delta_r * e2_level_two(small)
     elif k > 12:  # R_0 is the series 1
-        delta_r = delta_r * r_monomial(k - 12, small)
+        delta_r = delta_r * r_monomials([k - 12], small)[0]
     # Delta(4z) R_{k-12} = V_4(Delta R') is the component on theta alone
     return kohnen_images(k, [(delta_r, None)], precision)[0].series
 
@@ -139,9 +138,8 @@ def psi(k: int, precision: int) -> NamedForm:
 
 
 def _psi10_base(precision: int) -> QSeries:
-    small = v4_precision(precision)
-    return kohnen_images(10, [(r_monomial(10, small), -r_monomial(8, small))],
-                         precision)[0].series
+    r_10, r_8 = r_monomials((10, 8), v4_precision(precision))
+    return kohnen_images(10, [(r_10, -r_8)], precision)[0].series
 
 
 def psi10(precision: int) -> NamedForm:

@@ -4,8 +4,10 @@ U_d and V_d act by a(n) -> a(nd) and q^n -> q^(dn); quadratic twists
 multiply a(n) by a character value; T(l^2, k) is the half-integral weight
 Hecke operator in its coefficient form; R_t = E_4(4z)^i E_6(4z)^j of
 weight t equalizes weights mod 3, rebuilt per call as V_4 (dilate4, which
-only cohen_eisenstein.kohnen_images also calls) of a level_one_forms
-monomial; ap_project restricts a series to a progression of exponents.
+only cohen_eisenstein.kohnen_images also calls) of the monomial that
+r_monomials builds, with the first exponent pair of
+level_one_forms.mk_exponents(t); ap_project restricts a series to a
+progression of exponents.
 
 Each operator comes with a conservative level-bound rule.  The bounds are
 upper bounds only - that is all a Sturm cutoff needs.
@@ -18,7 +20,7 @@ from itertools import cycle
 from math import lcm
 
 from .arith import is_prime, kronecker, kronecker_row, sigma_table
-from .level_one_forms import Form, FormMeta, monomials
+from .level_one_forms import Form, FormMeta, mk_exponents, monomials
 from .qseries import QSeries
 
 
@@ -139,13 +141,6 @@ def hecke_t(g: QSeries, ell: int, k: int) -> QSeries:
     return QSeries.from_row(g.ring, out, g.den)
 
 
-def m_of(t: int) -> int:
-    """The E_6 exponent (t - 4*floor(t/4)) / 2 of the weight-t monomial."""
-    if t < 0 or t % 2:
-        raise ValueError("t must be a nonnegative even integer")
-    return (t - 4 * (t // 4)) // 2
-
-
 def v4_precision(precision: int) -> int:
     """The least precision p whose V_4 image, which covers 4(p-1)+1
     exponents, spans `precision` coefficients."""
@@ -160,19 +155,19 @@ def dilate4(g: QSeries, precision: int) -> QSeries:
     return v_op(g, 4).truncate(precision)
 
 
-def r_monomial(t: int, precision: int) -> QSeries:
-    """E_4^(floor(t/4) - m) E_6^m with m = m_of(t): R_t before V_4."""
-    e6_pow = m_of(t)
-    if t == 2:
-        raise ValueError("t = 2 has no nonnegative monomial exponents")
-    return monomials([(t // 4 - e6_pow, e6_pow)], precision)[0]
+def r_monomials(ts, precision: int) -> list[QSeries]:
+    """R_t before V_4 for each t in ts: E_4^a E_6^b with (a, b) the first
+    pair of mk_exponents(t), a = floor(t/4) - m and b = m = (t mod 4) / 2,
+    from one monomials call, so E_4 and E_6 are built once.  A t = 2 is
+    rejected (Weight2EmptyError): no monomial in E_4, E_6 has weight 2."""
+    return monomials([mk_exponents(t)[0] for t in ts], precision)
 
 
 def r_t(t: int, precision: int) -> Form:
     """The weight-t monomial E_4(4z)^(floor(t/4) - m) E_6(4z)^m with
     m = (t - 4 floor(t/4))/2, over Q; identically 1 mod 3 for every valid
     even t.  t = 2 is rejected: no monomial in E_4, E_6 has weight 2."""
-    series = r_monomial(t, v4_precision(precision))
+    (series,) = r_monomials([t], v4_precision(precision))
     return Form(dilate4(series, precision), FormMeta(2 * t, 4))
 
 

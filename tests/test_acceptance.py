@@ -6,13 +6,13 @@ import json
 import time
 from contextlib import contextmanager
 
+from conftest import hurwitz_weighted_form_count
 from plusforms import cli
 from plusforms.census import beta_census_crosscheck, nonvanishing_census
 from plusforms.class_numbers import (
     class_number_of_field,
     gen_bernoulli,
     hurwitz,
-    hurwitz_weighted_form_count,
     is_fundamental,
 )
 from plusforms.cohen_eisenstein import cohen_series, plus_isomorphism, theta

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import jacobi_symbol
 
+from conftest import hurwitz_weighted_form_count
 from plusforms import arith, class_numbers, cohen_eisenstein
 from plusforms.class_numbers import (
     Discriminant,
@@ -15,8 +16,7 @@ from plusforms.class_numbers import (
     form_class_number,
     gen_bernoulli,
     hurwitz,
-    hurwitz_numbers,
-    hurwitz_weighted_form_count,
+    hurwitz_sixfold,
     is_fundamental,
     kronecker,
 )
@@ -182,7 +182,8 @@ class TestHurwitz:
         # any class, residue 0 included: no Mobius step restricts it
         expected = [hurwitz_weighted_form_count(n) for n in range(1, limit + 1)
                     if n % modulus == residue % modulus]
-        assert hurwitz_numbers(limit, modulus, residue) == expected
+        assert [Fraction(v, 6) for v in
+                hurwitz_sixfold(limit, modulus, residue)] == expected
 
 
 @pytest.mark.parametrize("cached", [arith.mobius_divisors,

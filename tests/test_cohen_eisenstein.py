@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import hurwitz_weighted_form_count
 from plusforms import _cache, cohen_eisenstein, level_one_forms
 from plusforms.cohen_eisenstein import (
     PlusConditionError,
@@ -22,11 +23,7 @@ from plusforms.cohen_eisenstein import (
     theta,
 )
 from plusforms.arith import sigma
-from plusforms.class_numbers import (
-    hurwitz,
-    hurwitz_numbers,
-    hurwitz_weighted_form_count,
-)
+from plusforms.class_numbers import hurwitz, hurwitz_sixfold
 from plusforms.level_one_forms import (
     FormMeta,
     _eta_series,
@@ -366,9 +363,10 @@ class TestProgressionSeries:
         (9, 6, 9529), (9, 6, 4864), (4, 1, 1000), (3, 1, 2), (3, 1, 1)])
     def test_integer_row_equals_the_fraction_row(self, a, b, precision):
         # g_ab writes 6 H(n) over the denominator 6: the series is the one
-        # the Fraction values of hurwitz_numbers make
+        # the Fraction values H(n) = hurwitz_sixfold / 6 make
         coeffs = [0] * precision
-        coeffs[b % a::a] = hurwitz_numbers(precision - 1, a, b)
+        coeffs[b % a::a] = [Fraction(v, 6) for v in
+                            hurwitz_sixfold(precision - 1, a, b)]
         assert g_ab(a, b, precision).series == QSeries.rational(coeffs)
 
     def test_residue_violation(self):

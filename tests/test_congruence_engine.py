@@ -8,9 +8,7 @@ from plusforms import qseries
 from plusforms.cohen_eisenstein import theta
 from plusforms.congruence_engine import (
     HalfIntegralWeightError,
-    IncompatibleWeightsError,
     direct_report,
-    equalize_and_integralize,
     index_gamma0,
     sturm_bound,
     sturm_plan,
@@ -57,19 +55,17 @@ class TestBounds:
 
 class TestEqualize:
     def test_f_vs_g31_shape(self):
-        lhs, rhs, tw, level = equalize_and_integralize(f_form(60), g31(60), 3)
-        assert tw == 20 and level == 324
-        assert lhs.precision == 60 and rhs.precision == 60
+        lhs, rhs = f_form(60), g31(60)
+        plan = sturm_plan(lhs.meta, rhs.meta)
+        assert plan.twice_weight == 20 and plan.level == 324
+        pair = _sturm_pair_mod3(plan, lhs.series, rhs.series)
+        assert [side.precision for side in pair] == [60, 60]
 
     def test_equal_weights(self):
         a = phi(9, 30)
-        _, _, tw, level = equalize_and_integralize(a, a, 3)
-        assert tw == 20 and level == 4
-
-    def test_odd_gap_rejected(self):
-        lhs = ap_named(psi(12, 30), 2, 3)
-        with pytest.raises(IncompatibleWeightsError):
-            equalize_and_integralize(lhs, hurwitz_progression(30), 3)
+        plan = sturm_plan(a.meta, a.meta)
+        assert plan.strategy == "theta_integralize"
+        assert plan.twice_weight == 20 and plan.level == 4
 
     def test_r_multiplication_is_mod3_noop(self):
         g = g31(50).series
@@ -171,11 +167,12 @@ class TestGapTwo:
         series = g31(p).series
         heavy = _named("heavy", series, 7, 4)
         light = _named("light", series, 3, 4)
-        lhs, rhs, tw, level = equalize_and_integralize(heavy, light, 3)
-        th = theta(p).series
-        assert tw == 16 and level == 4
-        assert lhs == series * r_t(4, p).series * th
-        assert rhs == series * r_t(6, p).series * th
+        plan = sturm_plan(heavy.meta, light.meta)
+        assert plan.r_weights == (4, 6)
+        assert plan.twice_weight == 16 and plan.level == 4
+        # R_4 and R_6 are 1 mod 3: the pair is theta times each side
+        th = (series * theta(p).series).reduce_mod(3)
+        assert _sturm_pair_mod3(plan, series, series) == [th, th]
 
     @pytest.mark.parametrize("heavy_tw,strategy,out_tw", [
         (7, "theta_integralize", 7 + 1 + 8), (5, "squared", 2 * 5 + 8)])
@@ -252,15 +249,18 @@ class TestModulusRule:
         with pytest.raises(ValueError, match="only modulo 3"):
             verify_congruence(f_form(650), g31(650), 5)
 
-    def test_equalize_rejects_a_gap_modulo_5(self):
+    def test_the_plan_rejects_a_gap_modulo_5(self):
+        plan = sturm_plan(f_form(1).meta, g31(1).meta)
         with pytest.raises(ValueError, match="only modulo 3"):
-            equalize_and_integralize(f_form(60), g31(60), 5)
+            plan.check_modulus(5)
 
     def test_gap_zero_keeps_every_modulus(self):
         a = phi(9, 30)
         report = verify_congruence(a, a, 5)
         assert report.verified and report.unit == 1
-        assert equalize_and_integralize(a, a, 7)[2:] == (20, 4)
+        plan = sturm_plan(a.meta, a.meta)
+        plan.check_modulus(7)
+        assert (plan.twice_weight, plan.level) == (20, 4)
 
 
 def _sturm_pair_mod3(plan, lhs, rhs):

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import residue
-from plusforms import _cache, qseries
+from plusforms import _cache, level_one_forms, qseries
 from plusforms.class_numbers import hurwitz
 from plusforms.cohen_eisenstein import (
     cohen_h,
@@ -33,7 +33,7 @@ from plusforms.operators import (
     ap_project,
     dilate4,
     e2_level_two,
-    r_monomial,
+    r_monomials,
     r_t,
     twist,
     u_op,
@@ -65,7 +65,7 @@ def psi_oracle(k, p):
     if k == 14:
         delta_r = delta_r * e2_level_two(small)
     elif k > 12:
-        delta_r = delta_r * r_monomial(k - 12, small)
+        delta_r = delta_r * r_monomials([k - 12], small)[0]
     return dilate4(delta_r, p) * theta(p).series
 
 
@@ -132,6 +132,25 @@ class TestAgainstTheWrittenOutFormulas:
 def test_builders_reject_precision_below_one(build, precision):
     with pytest.raises(ValueError):
         build(precision)
+
+
+@pytest.mark.parametrize("build", [
+    lambda p: phi(9, p), lambda p: phi(13, p), psi10],
+    ids=["phi9", "phi13", "psi10"])
+def test_the_two_r_factors_share_e4_and_e6(monkeypatch, build):
+    # R'_{k-3} and R'_{k-5} (R'_10 = E_4 E_6 and R'_8 = E_4^2 for psi10)
+    # come from one r_monomials call, which builds E_4 and E_6 once each
+    weights = []
+    built = level_one_forms.eisenstein
+
+    def spy(weight, precision):
+        weights.append(weight)
+        return built(weight, precision)
+
+    monkeypatch.setattr(level_one_forms, "eisenstein", spy)
+    _cache.clear()
+    build(300)
+    assert sorted(weights) == [4, 6]
 
 
 class TestPhi:

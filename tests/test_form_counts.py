@@ -80,6 +80,25 @@ def test_any_class_matches_the_per_a_count(limit, modulus, residue):
     assert_same_counts(limit, modulus, residue)
 
 
+# the largest modulus whose square fits in int64, where c0 * inverse
+# comes closest to 2^63; one entry per table at d = residue
+INT64_MODULUS = 3037000499
+
+
+@pytest.mark.parametrize("d,count", [
+    (99999, 336), (100003, 39), (123459, 104), (300003, 88)])
+def test_the_largest_int64_modulus_matches_the_per_a_count(d, count):
+    assert INT64_MODULUS ** 2 < 1 << 63 <= (INT64_MODULUS + 1) ** 2
+    got = form_counts(d, INT64_MODULUS, d)
+    assert got.tolist() == [count]
+    assert numpy.array_equal(got, per_a_form_counts(d, INT64_MODULUS, d))
+
+
+def test_one_modulus_past_int64_is_refused():
+    with pytest.raises(ValueError, match="int64"):
+        form_counts(99999, INT64_MODULUS + 1, 99999)
+
+
 class _AddSpy:
     """numpy.add with the length of every np.add.at index recorded."""
 

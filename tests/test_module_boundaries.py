@@ -26,6 +26,14 @@ def test_operators_and_congruence_engine_skip_class_numbers():
             and mod == "class_numbers"] == []
 
 
+def test_congruence_engine_builds_no_series():
+    # the engine compares reduced rows and multiplies nothing, so it needs
+    # neither theta nor R_t
+    assert [(mod, name) for src, mod, name in relative_imports()
+            if src == "congruence_engine"
+            and mod in ("cohen_eisenstein", "operators")] == []
+
+
 def test_no_module_starts_processes():
     # the census runs in one process; no worker pool sits beside it
     imported = set()

@@ -17,14 +17,14 @@ from plusforms.operators import (
     level_after_twist,
     level_after_u,
     level_after_v,
-    m_of,
+    r_monomials,
     r_t,
     twist,
     u_op,
     v4_precision,
     v_op,
 )
-from plusforms.qseries import QSeries
+from plusforms.qseries import RATIONAL, QSeries
 
 
 def q(*coeffs):
@@ -166,7 +166,6 @@ class TestRt:
 
     def test_r4_r6_are_dilated_eisenstein(self):
         p = 40
-        assert m_of(6) == 1 and m_of(4) == 0
         e4_4 = v_op(eisenstein(4, p).series, 4).truncate(p)
         e6_4 = v_op(eisenstein(6, p).series, 4).truncate(p)
         assert r_t(4, p).series.coeffs == e4_4.coeffs
@@ -180,12 +179,22 @@ class TestRt:
             e4_4 = v_op(eisenstein(4, p).series, 4).truncate(p)
             e6_4 = v_op(eisenstein(6, p).series, 4).truncate(p)
             for t in (8, 10, 22):
-                expected = e4_4 ** (t // 4 - m_of(t)) * e6_4 ** m_of(t)
+                m = (t % 4) // 2
+                expected = e4_4 ** (t // 4 - m) * e6_4 ** m
                 assert r_t(t, p).series.coeffs == expected.coeffs, (t, p)
 
     def test_t2_rejected(self):
         with pytest.raises(ValueError):
             r_t(2, 10)
+
+    def test_r_monomials_take_the_first_exponent_pair(self):
+        # E_4^(t//4 - m) E_6^m, m = (t mod 4) / 2, one entry per t in order
+        p = 30
+        e4, e6 = (eisenstein(w, p).series for w in (4, 6))
+        assert r_monomials((10, 8, 6, 0, 22), p) == [
+            e4 * e6, e4 ** 2, e6, QSeries.one(RATIONAL, p), e4 ** 4 * e6]
+        with pytest.raises(ValueError):
+            r_monomials((8, 2), p)
 
     def test_one_mod_three_up_to_forty(self):
         one = (1,) + (0,) * 49
@@ -207,7 +216,8 @@ class TestRt:
         for t in range(0, 47, 2):
             if t == 2:
                 continue
-            built = e4 ** (t // 4 - m_of(t)) * e6 ** m_of(t)
+            m = (t % 4) // 2
+            built = e4 ** (t // 4 - m) * e6 ** m
             assert v_op(built, 4).truncate(p) == \
                 r_t(t, p).series.reduce_mod(3), t
 
