@@ -32,6 +32,7 @@ from .congruence_engine import (
     verify_congruence,
 )
 from .constructions import (
+    MOD3,
     NamedForm,
     ap_named,
     cusp_line_13_half,
@@ -44,8 +45,15 @@ from .constructions import (
     theta_off_multiples_of_three,
 )
 from .level_one_forms import delta, eisenstein
-from .operators import check_odd_prime, hecke_t, r_t, u_op
-from .qseries import NonIntegralCoefficientError, QSeries
+from .operators import (
+    check_odd_prime,
+    dilate4,
+    hecke_t,
+    r_monomials,
+    u_op,
+    v4_precision,
+)
+from .qseries import NonIntegralCoefficientError, QSeries, RATIONAL
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -165,23 +173,26 @@ def _open_output(path: str, **kwargs):
 # -- expand -----------------------------------------------------------------
 
 
-def _build_form(spec: str, precision: int):
+def _build_form(spec: str, precision: int, modulus: int | None):
     """Returns the built object: a NamedForm for the composite forms, a
-    Form/PlusForm for the classical ones."""
+    Form/PlusForm for the classical ones.  phi:k, psi:k and f are built
+    mod 3 when `modulus` is 3, every other form over Q."""
+    ring = MOD3 if modulus == 3 else RATIONAL
     name, _, arg = spec.partition(":")
     request = "expand --form %s --prec %d" % (spec, precision)
     if name in ("cohen", "phi", "psi") and arg:
         index = int(arg)
         _check_cost(request, name, index, precision)
-        return {"cohen": cohen_series, "phi": phi, "psi": psi}[name](
-            index, precision)
+        if name == "cohen":
+            return cohen_series(index, precision)
+        return {"phi": phi, "psi": psi}[name](index, precision, ring=ring)
     model = {"f": ("phi", 9), "psi10": ("phi", 10),
              "delta": ("delta", None)}.get(name)
     if model and not arg:
         _check_cost(request, *model, precision)
     builders = {"e4": partial(eisenstein, 4), "e6": partial(eisenstein, 6),
-                "delta": delta, "theta": theta, "psi10": psi10, "f": f_form,
-                "g31": g31}
+                "delta": delta, "theta": theta, "psi10": psi10,
+                "f": partial(f_form, ring=ring), "g31": g31}
     if arg or name not in builders:
         raise UsageError("unknown form %r" % spec)
     return builders[name](precision)
@@ -189,9 +200,9 @@ def _build_form(spec: str, precision: int):
 
 def _cmd_expand(args) -> int:
     precision = _verify_precision("expand --form " + args.form, args.prec)
-    form = _build_form(args.form, precision)
+    form = _build_form(args.form, precision, args.mod)
     series = form.series
-    if args.mod is not None:
+    if args.mod is not None and series.ring.modulus != args.mod:
         series = series.reduce_mod(args.mod)
     if args.json:
         shown = form._replace(series=series) \
@@ -217,8 +228,8 @@ def _verify_pair(target, precision, units) -> CongruenceReport:
 
     def build(p):
         if target == "cong":
-            return f_form(p), g31(p)
-        return ap_named(psi(k, p), 2, 3), hurwitz_progression(p)
+            return f_form(p, ring=MOD3), g31(p)
+        return ap_named(psi(k, p, ring=MOD3), 2, 3), hurwitz_progression(p)
 
     if precision is None:
         plan = sturm_plan(*(form.meta for form in build(1)))
@@ -278,11 +289,11 @@ def _verify_rt(precision) -> list[CongruenceReport]:
     depth = _verify_precision("verify rt",
                               100 if precision is None else precision)
     _check_cost("verify rt", "rt", None, depth)
+    ts = [t for t in range(0, 41, 2) if t != 2]
     reports = []
-    for t in range(0, 41, 2):
-        if t == 2:
-            continue
-        series = r_t(t, depth).series.reduce_mod(3)
+    # one r_monomials call builds E_4 and E_6 once for every R_t
+    for t, monomial in zip(ts, r_monomials(ts, v4_precision(depth))):
+        series = dilate4(monomial, depth).reduce_mod(3)
         reports.append(direct_report("r_t(%d)" % t, "1", series,
                                      QSeries.one(series.ring, depth), depth,
                                      units=(1,), equalizer_t=t))

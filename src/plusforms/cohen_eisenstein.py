@@ -19,7 +19,14 @@ kohnen_images is the one route from level-one forms into the plus space
 (plus_isomorphism, phi, psi, psi10 and the basis below): it dilates
 level-one series built at a quarter of the precision and multiplies them by
 the partners in use, the only ones it builds; the product kernel takes such
-a pair in quarter-length pieces.  plus_space_basis(k, P) takes the images
+a pair in quarter-length pieces.  It is the one route over a ring too: each
+summand carries a scale a_i, and its constant a_i zeta(1 - 2r_i) (a_i for
+theta) may have 3 in its denominator.  kohnen_ring reads v, the 3-adic
+valuation of the constants' common denominator, and over Z/3^(v+1) the
+partners are theta and the seed bodies H_{r+1/2} / zeta(1 - 2r), whose
+coefficients are integers, so the images come out as 3^v times the forms
+with no rational entry built; constructions divides by 3^v.
+plus_space_basis(k, P) takes the images
 of every monomial E_4^a E_6^b of each nonzero summand.  One exact elimination of the images' first
 floor((2k+1)/4) + 1 coefficients, beside a change-of-basis block, gives
 the echelon pivots and each basis form's weights on the images.  That
@@ -67,7 +74,7 @@ from .level_one_forms import (
     monomials,
 )
 from .operators import dilate4, v4_precision
-from .qseries import QSeries, RATIONAL
+from .qseries import QSeries, RATIONAL, RingTag
 
 
 class ResidueConditionViolatedError(ValueError):
@@ -168,32 +175,31 @@ def _echelon(work: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return work[:len(pivots)], pivots
 
 
-def _seed(r: int, rungs: dict, precision: int) -> QSeries:
-    """H_{r+1/2} for r = 2, 3, 5 by Cohen's identities in X = theta^4 and
-    Y = F_2:
+def _seed_body(r: int, rungs: dict, precision: int, ring: RingTag) -> QSeries:
+    """H_{r+1/2} / zeta(1 - 2r) over `ring`, for r = 2, 3, 5, by Cohen's
+    identities in X = theta^4 and Y = F_2:
 
         H_{5/2} = zeta(-3) theta (X - 20 Y),
         H_{7/2} = zeta(-5) theta^3 (X - 14 Y),
         H_{11/2} = zeta(-9) theta^3 ((X - 22 Y) X + 88 Y^2).
 
+    The body has integer coefficients, so it is built over Q or Z/m alike.
     `rungs` keeps theta, theta^2, X and Y, and theta^3 once a seed needs
     it, for the other seeds of one call; a theta already in it is used."""
     if "x" not in rungs:
         if "theta" not in rungs:
-            rungs["theta"] = theta(precision).series
+            rungs["theta"] = theta(precision, ring=ring).series
         th2 = rungs["theta"] * rungs["theta"]
         rungs.update(theta2=th2, x=th2 * th2, y=QSeries.from_row(
-            RATIONAL, [s if n % 2 else 0
-                       for n, s in enumerate(sigma_table(1, precision))]))
+            ring, [s if n % 2 else 0
+                   for n, s in enumerate(sigma_table(1, precision))]))
     x, y = rungs["x"], rungs["y"]
     if r == 2:
-        body = rungs["theta"] * (x - 20 * y)
-    else:
-        if "theta3" not in rungs:
-            rungs["theta3"] = rungs["theta2"] * rungs["theta"]
-        body = rungs["theta3"] * (x - 14 * y if r == 3
-                                  else (x - 22 * y) * x + 88 * (y * y))
-    return body.scale(cohen_h(r, 0))
+        return rungs["theta"] * (x - 20 * y)
+    if "theta3" not in rungs:
+        rungs["theta3"] = rungs["theta2"] * rungs["theta"]
+    return rungs["theta3"] * (x - 14 * y if r == 3
+                              else (x - 22 * y) * x + 88 * (y * y))
 
 
 def _partners(k: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -203,11 +209,45 @@ def _partners(k: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return ((k, 0), (k - 2, 2)) if k % 2 == 0 else ((k - 3, 3), (k - 5, 5))
 
 
-def kohnen_images(k: int, components, precision: int) -> list[PlusForm]:
-    """The plus form sum(c_i(4z) g_i) of weight k + 1/2 for each tuple
+def _constants(k: int, scales) -> list[Fraction]:
+    """a_i zeta(1 - 2 r_i) for the scale a_i of each summand (w_i, r_i) of
+    _partners(k): the constant term of its partner times a_i, with
+    theta's constant term 1."""
+    return [Fraction(a) * (cohen_h(r, 0) if r else 1)
+            for a, (_, r) in zip(scales, _partners(k))]
+
+
+def kohnen_ring(k: int, scales) -> RingTag:
+    """Z/3^(v+1), v the 3-adic valuation of the common denominator of the
+    summand constants of kohnen_images(k, ..., scales): the least ring in
+    which those images, times 3^v, are built with integral constants.  A
+    zero scale marks an unused summand."""
+    v, _ = _split3(lcm(*(c.denominator for c in _constants(k, scales))))
+    return RingTag(3 ** (v + 1))
+
+
+def _split3(n: int) -> tuple[int, int]:
+    """(v, n / 3^v) for the 3-adic valuation v of n != 0."""
+    v = 0
+    while n % 3 == 0:
+        n, v = n // 3, v + 1
+    return v, n
+
+
+def kohnen_images(k: int, components, precision: int, scales=(1, 1),
+                  ring: RingTag = RATIONAL) -> list[PlusForm]:
+    """The plus form sum(a_i c_i(4z) g_i) of weight k + 1/2 for each tuple
     (c_1, c_2) in the list `components`, over the summands (w_i, g_i) of
-    _partners(k): c_i has weight w_i at v4_precision(precision), or is None
-    where its summand is unused.  Only the partners in use are built."""
+    _partners(k) with scales (a_1, a_2): c_i has weight w_i at
+    v4_precision(precision), or is None where its summand is unused.  Only
+    the partners in use are built.
+
+    Over Q the partners are theta and the Cohen series.  Over
+    Z/3^(v+1), v >= 0, the components are given over that ring and the
+    partners are theta and the seed bodies H_{r+1/2} / zeta(1 - 2r), which
+    have integer coefficients; each image is then 3^v times the form, with
+    3^v a_i zeta(1 - 2r_i) taken mod 3^(v+1), which needs v at least the
+    valuation kohnen_ring(k, scales) reads."""
     rs = [r for _, r in _partners(k)]
     used = {r for c in components for r, s in zip(rs, c) if s is not None}
     seeds = sorted(used - {0})
@@ -215,14 +255,30 @@ def kohnen_images(k: int, components, precision: int) -> list[PlusForm]:
     rungs: dict = {}
     if 0 in used:
         # theta is also the first rung of the seeds
-        partner[0] = rungs["theta"] = theta(precision).series
-    for r, h in zip(seeds, cohen_series_many(seeds, precision, rungs)):
-        partner[r] = h.series
+        partner[0] = rungs["theta"] = theta(precision, ring=ring).series
+    m = ring.modulus
+    if m is None:
+        multipliers = scales
+        for r, h in zip(seeds, cohen_series_many(seeds, precision, rungs)):
+            partner[r] = h.series
+    else:
+        e, rest = _split3(m)
+        if rest != 1:
+            raise ValueError("kohnen_images builds over Q or Z/3^e, not %s"
+                             % ring.label())
+        multipliers = [c.numerator * pow(c.denominator, -1, m) % m
+                       for c in (3 ** (e - 1) * c
+                                 for c in _constants(k, scales))]
+        for r in seeds:
+            partner[r] = _cache.series_at(
+                ("seed", r, m), precision,
+                lambda p: _seed_body(r, rungs, p, ring))
     meta = FormMeta(2 * k + 1, 4)
-    terms = [[dilate4(s, precision) * partner[r]
-              for r, s in zip(rs, c) if s is not None] for c in components]
+    terms = [[dilate4(s if a == 1 else s.scale(a), precision) * partner[r]
+              for r, a, s in zip(rs, multipliers, c) if s is not None]
+             for c in components]
     return [PlusForm(sum(t[1:], t[0]) if t
-                     else QSeries.zero(RATIONAL, precision), meta, k)
+                     else QSeries.zero(ring, precision), meta, k)
             for t in terms]
 
 
@@ -297,7 +353,8 @@ def cohen_series_many(rs, precision: int,
                       rungs: dict | None = None) -> list[PlusForm]:
     """[cohen_series(r, precision) for r in rs], with theta^2, theta^3,
     theta^4 and F_2 built once for the seeds r = 2, 3, 5 among them.
-    `rungs` may hold theta(precision).series under "theta" (see _seed)."""
+    `rungs` may hold theta(precision).series under "theta" (see
+    _seed_body)."""
     rs = tuple(rs)
     if any(r < 2 for r in rs):
         raise ValueError("cohen_series needs r >= 2 (r = 1 is the Hurwitz row)")
@@ -306,8 +363,8 @@ def cohen_series_many(rs, precision: int,
     for r in rs:
         series = _cache.series_at(
             ("cohen", r), precision,
-            lambda p: _seed(r, rungs, p) if r in (2, 3, 5)
-            else _cohen_series(r, p))
+            lambda p: _seed_body(r, rungs, p, RATIONAL).scale(cohen_h(r, 0))
+            if r in (2, 3, 5) else _cohen_series(r, p))
         forms.append(PlusForm(series, FormMeta(2 * r + 1, 4), r))
     return forms
 
@@ -322,14 +379,14 @@ def cohen_series(r: int, precision: int) -> PlusForm:
     return form
 
 
-def theta(precision: int) -> Form:
-    """1 + 2 sum(q^(n^2)), weight 1/2 on level 4."""
+def theta(precision: int, ring: RingTag = RATIONAL) -> Form:
+    """1 + 2 sum(q^(n^2)), weight 1/2 on level 4, over Q or Z/m."""
     if precision < 1:
         raise ValueError("precision must be positive")
     row = [0] * precision
     for n in range(isqrt(precision - 1) + 1):
         row[n * n] = 2 if n else 1
-    return Form(QSeries.from_row(RATIONAL, row), FormMeta(1, 4))
+    return Form(QSeries.from_row(ring, row), FormMeta(1, 4))
 
 
 def g_ab(a: int, b: int, precision: int) -> Form:

@@ -183,8 +183,9 @@ def verify_congruence(lhs: NamedForm, rhs: NamedForm, m: int = 3, *,
     pair that agrees under u (u^2 for the squares), and theta moves no
     first difference.  So the two rows reduced mod m are compared once,
     and a mismatch is reported at the first n where lhs != u0 * rhs, u0
-    the first unit tried.  Outcomes are reported, never raised; t > 0 with
-    m != 3 is a ValueError."""
+    the first unit tried.  A side already over Z/m is compared as it is.
+    Outcomes are reported, never raised; t > 0 with m != 3 is a
+    ValueError."""
     plan = sturm_plan(lhs.meta, rhs.meta)
     plan.check_modulus(m)
     bound = plan.bound
@@ -194,5 +195,12 @@ def verify_congruence(lhs: NamedForm, rhs: NamedForm, m: int = 3, *,
     if available < bound:
         return report("insufficient_precision", required=bound,
                       available=available)
-    return _compare(report, lhs.series.truncate(bound).reduce_mod(m),
-                    rhs.series.truncate(bound).reduce_mod(m), bound, units)
+    return _compare(report, _residues(lhs.series, m, bound),
+                    _residues(rhs.series, m, bound), bound, units)
+
+
+def _residues(series: QSeries, m: int, depth: int) -> QSeries:
+    """The first `depth` coefficients mod m: a series over Z/m as it is, a
+    rational one reduced."""
+    series = series.truncate(depth)
+    return series if series.ring.modulus == m else series.reduce_mod(m)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 
 from .arith import sigma_table
-from .qseries import QSeries, RATIONAL
+from .qseries import QSeries, RATIONAL, RingTag
 
 
 class Weight2EmptyError(ValueError):
@@ -98,29 +98,34 @@ def _eta_series(precision: int) -> QSeries:
     return QSeries.from_row(RATIONAL, coeffs)
 
 
-def delta(precision: int) -> Form:
-    """The weight-12 cusp form q * prod((1 - q^n)^24)."""
+def delta(precision: int, ring: RingTag = RATIONAL) -> Form:
+    """The weight-12 cusp form q * prod((1 - q^n)^24), over Q or Z/m."""
     if precision < 1:
         raise ValueError("precision must be positive")
     if precision == 1:
-        return Form(QSeries.zero(RATIONAL, 1), FormMeta(24, 1))
-    eta24 = _eta_series(precision - 1) ** 24
-    return Form(QSeries.from_row(RATIONAL, (0,) + eta24.nums),
-                FormMeta(24, 1))
+        return Form(QSeries.zero(ring, 1), FormMeta(24, 1))
+    eta24 = _in_ring(_eta_series(precision - 1), ring) ** 24
+    return Form(QSeries.from_row(ring, (0,) + eta24.nums), FormMeta(24, 1))
 
 
-def monomials(exponents, precision: int) -> list[QSeries]:
-    """E_4^a E_6^b for each pair (a, b) in `exponents`.  E_4 and E_6 are
-    built once, and only if some pair needs them; a zero exponent takes no
-    factor, so no product by the series 1 is made."""
+def monomials(exponents, precision: int,
+              ring: RingTag = RATIONAL) -> list[QSeries]:
+    """E_4^a E_6^b for each pair (a, b) in `exponents`, over Q or Z/m.
+    E_4 and E_6 are built once, and only if some pair needs them; a zero
+    exponent takes no factor, so no product by the series 1 is made."""
     exponents = tuple(exponents)
-    e4, e6 = (eisenstein(w, precision).series
+    e4, e6 = (_in_ring(eisenstein(w, precision).series, ring)
               if any(pair[i] for pair in exponents) else None
               for i, w in enumerate((4, 6)))
     return [e4 ** a * e6 ** b if a and b
             else e4 ** a if a
             else e6 ** b if b
-            else QSeries.one(RATIONAL, precision) for a, b in exponents]
+            else QSeries.one(ring, precision) for a, b in exponents]
+
+
+def _in_ring(series: QSeries, ring: RingTag) -> QSeries:
+    """A rational series, m-integral for ring Z/m, taken over `ring`."""
+    return series if ring.modulus is None else series.reduce_mod(ring.modulus)
 
 
 def mk_exponents(k: int) -> list[tuple[int, int]]:

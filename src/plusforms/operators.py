@@ -21,7 +21,7 @@ from math import lcm
 
 from .arith import is_prime, kronecker, kronecker_row, sigma_table
 from .level_one_forms import Form, FormMeta, mk_exponents, monomials
-from .qseries import QSeries
+from .qseries import QSeries, RATIONAL, RingTag
 
 
 class NotOddPrimeError(ValueError):
@@ -155,12 +155,14 @@ def dilate4(g: QSeries, precision: int) -> QSeries:
     return v_op(g, 4).truncate(precision)
 
 
-def r_monomials(ts, precision: int) -> list[QSeries]:
-    """R_t before V_4 for each t in ts: E_4^a E_6^b with (a, b) the first
-    pair of mk_exponents(t), a = floor(t/4) - m and b = m = (t mod 4) / 2,
-    from one monomials call, so E_4 and E_6 are built once.  A t = 2 is
-    rejected (Weight2EmptyError): no monomial in E_4, E_6 has weight 2."""
-    return monomials([mk_exponents(t)[0] for t in ts], precision)
+def r_monomials(ts, precision: int,
+                ring: RingTag = RATIONAL) -> list[QSeries]:
+    """R_t before V_4 for each t in ts, over Q or Z/m: E_4^a E_6^b with
+    (a, b) the first pair of mk_exponents(t), a = floor(t/4) - m and
+    b = m = (t mod 4) / 2, from one monomials call, so E_4 and E_6 are
+    built once.  A t = 2 is rejected (Weight2EmptyError): no monomial in
+    E_4, E_6 has weight 2."""
+    return monomials([mk_exponents(t)[0] for t in ts], precision, ring)
 
 
 def r_t(t: int, precision: int) -> Form:
@@ -171,13 +173,13 @@ def r_t(t: int, precision: int) -> Form:
     return Form(dilate4(series, precision), FormMeta(2 * t, 4))
 
 
-def e2_level_two(precision: int) -> QSeries:
+def e2_level_two(precision: int, ring: RingTag = RATIONAL) -> QSeries:
     """2 E_2(2z) - E_2(z) = 1 + 24 sum((sigma_1(n) - 2 sigma_1(n/2)) q^n),
-    the weight-2 bridge before V_4; every nonconstant coefficient is a
-    multiple of 24."""
+    the weight-2 bridge before V_4, over Q or Z/m; every nonconstant
+    coefficient is a multiple of 24."""
     sigma1 = sigma_table(1, precision)
     coeffs = [24 * (s - (0 if n % 2 else 2 * sigma1[n // 2]))
               for n, s in enumerate(sigma1)]
     coeffs[0] = 1
-    return QSeries.rational(coeffs)
+    return QSeries.from_row(ring, coeffs)
 

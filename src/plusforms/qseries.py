@@ -20,13 +20,21 @@ double loop, which the tests keep as the oracle.  Plus forms, theta, F_2
 and V_4 images vanish on some residue classes mod 4, and class r of one row
 meets class t of the other only in class (r + t) mod 4 of the product; when
 at most four class pairs are nonzero in both rows, the product is assembled
-from their quarter-length substitutions.  A lowest-terms row is m-integral
-exactly when gcd(den, m) = 1, so reduce_mod is one gcd and one inverse; only
-a failing check scans for the first offending exponent.
+from their quarter-length substitutions.  The digits have one of two
+codecs: a digit of at most 8 bytes is widened to a 4- or 8-byte machine
+word, packed by `array` and read back by one `memoryview` cast, always in
+little-endian order; a wider digit is packed and read one `to_bytes` /
+`from_bytes` at a time.  Residue rows over a small modulus, such as the
+mod-3 builds over Z/3^e, always take the word codec.  A lowest-terms row
+is m-integral exactly when gcd(den, m) = 1, so reduce_mod is one gcd and
+one inverse; only a failing check scans for the first offending exponent.
+divide_out(d) takes a Z/m row holding d times a form to the form over
+Z/(m/d), and fails the same way where d does not divide an entry.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
@@ -70,6 +78,13 @@ class RingTag(namedtuple("RingTag", "modulus", defaults=(None,))):
 
 RATIONAL = RingTag(None)
 
+# digit width in bytes -> the `array` type code of a signed machine word
+# that wide, and whether a word's bytes must be swapped to read it
+# little-endian; `array` is imported by the first narrow product, so a
+# start-up that forms no product does not load it
+_NARROW = {4: "i", 8: "q"}
+_SWAP = sys.byteorder == "big"
+
 
 def _kronecker(a: list[int], b: list[int]) -> list[int]:
     """The first n coefficients of the product of two integer rows of
@@ -90,10 +105,15 @@ def _kronecker(a: list[int], b: list[int]) -> list[int]:
     once into such digits.  Adding 2^(w-1) to every digit (`bias`) makes
     each one nonnegative, so the digits of a packed row, and the low digits
     of a product, read back independently without borrows.  Each piece is
-    at most a quarter as long as the dense product and no wider."""
+    at most a quarter as long as the dense product and no wider.  A width
+    of at most 8 bytes is rounded up to 4 or 8, so that `array` packs the
+    digits and a `memoryview` reads them back in one call each; wider
+    digits go through `to_bytes` and `from_bytes` one by one."""
     n = len(a)
     width = (max(map(int.bit_length, a)) + max(map(int.bit_length, b))
              + n.bit_length() + 8) // 8
+    if width <= 8:
+        width = 4 if width <= 4 else 8
     step = 4
     split_a = [(r, x) for r in range(4) if any(x := a[r::4])]
     split_b = [(t, y) for t in range(4) if any(y := b[t::4])]
@@ -124,15 +144,33 @@ def _substitute(x: int, y: int, width: int, size: int) -> list[int]:
     y = ((y & mask) ^ bias) - bias
     low = ((x * y + bias) & mask) ^ bias
     digits = low.to_bytes(width * size, "little")
-    return [int.from_bytes(digits[i:i + width], "little", signed=True)
-            for i in range(0, width * size, width)]
+    code = _NARROW.get(width)
+    if code is None:
+        return [int.from_bytes(digits[i:i + width], "little", signed=True)
+                for i in range(0, width * size, width)]
+    if _SWAP:
+        from array import array
+
+        words = array(code, digits)
+        words.byteswap()
+        return words.tolist()
+    return memoryview(digits).cast(code).tolist()
 
 
 def _pack(row: list[int], width: int) -> int:
     """The row's coefficients as consecutive two's complement digits of
     `width` bytes, read as one nonnegative integer."""
-    return int.from_bytes(b"".join([c.to_bytes(width, "little", signed=True)
-                                    for c in row]), "little")
+    code = _NARROW.get(width)
+    if code is None:
+        return int.from_bytes(b"".join([c.to_bytes(width, "little",
+                                                   signed=True)
+                                        for c in row]), "little")
+    from array import array
+
+    words = array(code, row)
+    if _SWAP:
+        words.byteswap()
+    return int.from_bytes(words, "little")
 
 
 def _coerce(ring: RingTag, value):
@@ -341,6 +379,25 @@ class QSeries:
             raise NonIntegralCoefficientError(n, self.coefficient(n), m)
         inv = pow(den, -1, m)
         return QSeries._trusted(RingTag(m), [c * inv % m for c in self.nums])
+
+    def divide_out(self, d: int) -> "QSeries":
+        """For a Z/m series holding d times a form f, d | m: f over
+        Z/(m/d), each entry divided by d.  An entry that d does not divide
+        means that f is not (m/d)-integral there, and raises
+        NonIntegralCoefficientError at the first such exponent."""
+        m = self.ring.modulus
+        if m is None or m % d:
+            raise RingMismatchError("divide_out(%d) expects a series over "
+                                    "Z/m with %d | m, got %s"
+                                    % (d, d, self.ring.label()))
+        if d == 1:
+            return self
+        bad = next((n for n, c in enumerate(self.nums) if c % d), None)
+        if bad is not None:
+            raise NonIntegralCoefficientError(
+                bad, Fraction(self.nums[bad], d), m // d)
+        return QSeries._trusted(RingTag(m // d),
+                                [c // d for c in self.nums])
 
     def primitive(self) -> "QSeries":
         """Scale a rational series to integer coefficients with content 1

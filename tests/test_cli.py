@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from plusforms import census, cli
-from plusforms.qseries import QSeries
+from plusforms import census, cli, level_one_forms
+from plusforms.constructions import MOD3
+from plusforms.operators import v4_precision
+from plusforms.qseries import RATIONAL, QSeries
 
 
 def run(capsys, *argv):
@@ -95,6 +97,32 @@ class TestExpand:
         assert code == 3
         assert "not 3-integral" in err
 
+    @pytest.mark.parametrize("spec, name", [
+        ("phi:9", "phi"), ("phi:13", "phi"), ("psi:14", "psi"),
+        ("f", "f_form")])
+    @pytest.mark.parametrize("mod", [None, "3", "5"])
+    def test_only_mod_3_builds_in_the_ring(self, capsys, monkeypatch, spec,
+                                           name, mod):
+        # the output is the Q build reduced mod m either way
+        rings = []
+        builder = getattr(cli, name)
+
+        def spy(*args, ring=RATIONAL):
+            rings.append(ring)
+            return builder(*args, ring=ring)
+
+        monkeypatch.setattr(cli, name, spy)
+        argv = ["expand", "--form", spec, "--prec", "300", "--json"]
+        code, out, _ = run(capsys, *argv + (["--mod", mod] if mod else []))
+        assert code == 0
+        assert rings == [MOD3 if mod == "3" else RATIONAL]
+        index = () if name == "f_form" else (int(spec.split(":")[1]),)
+        expected = builder(*index, 300).series
+        if mod:
+            expected = expected.reduce_mod(int(mod))
+        assert json.loads(out)["coeffs"] == \
+            expected.to_json_dict()["coeffs"]
+
 
 class TestVerify:
     def test_rt(self, capsys):
@@ -103,6 +131,28 @@ class TestVerify:
         reports = json.loads(out)
         assert len(reports) == 20  # even t in 0..40 minus t = 2
         assert all(r["status"] == "verified" for r in reports)
+
+    def test_rt_builds_e4_and_e6_once(self, capsys, monkeypatch):
+        weights = []
+        eisenstein = level_one_forms.eisenstein
+        monkeypatch.setattr(level_one_forms, "eisenstein", lambda w, p:
+                            weights.append(w) or eisenstein(w, p))
+        assert run(capsys, "verify", "rt", "--prec", "300")[0] == 0
+        assert sorted(weights) == [4, 6]
+
+    @pytest.mark.parametrize("target, names", [
+        ("cong", ("f_form",)), ("psi:12", ("psi",)), ("psi:14", ("psi",))])
+    def test_pairs_build_their_plus_form_mod_3(self, capsys, monkeypatch,
+                                               target, names):
+        rings = []
+        for name in names:
+            builder = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *args, ring=RATIONAL,
+                                builder=builder: rings.append(ring)
+                                or builder(*args, ring=ring))
+        assert run(capsys, "verify", target)[0] == 0
+        # one build at precision 1 for the plan, one for the comparison
+        assert rings == [MOD3, MOD3]
 
     def test_remark3(self, capsys):
         code, out, _ = run(capsys, "verify", "remark3", "--prec", "120")
@@ -506,9 +556,9 @@ class TestDefaultVerifyPrecision:
         requested = []
 
         def at_precision_one(builder):
-            def build(*args):
+            def build(*args, **kwargs):
                 requested.append(args[-1])
-                return builder(*args[:-1], 1)
+                return builder(*args[:-1], 1, **kwargs)
             return build
 
         for name in ("f_form", "g31", "psi", "hurwitz_progression"):
@@ -581,10 +631,10 @@ def built(monkeypatch):
     requests = []
 
     def recording(name, builder):
-        def build(*args):
+        def build(*args, **kwargs):
             if args[-1] > 1:
                 requests.append((name, *args))
-            return builder(*args[:-1], 1)
+            return builder(*args[:-1], 1, **kwargs)
         return build
 
     for name in ("phi", "psi", "f_form", "psi10", "g31",
@@ -703,7 +753,7 @@ class TestFactorizationBounds:
     # at r = 6; rt and delta have estimates of their own in P alone
     @pytest.mark.parametrize("argv, builder", [
         (["verify", "remark3", "--prec", "103148"], "cusp_line_13_half"),
-        (["verify", "rt", "--prec", "55810"], "r_t"),
+        (["verify", "rt", "--prec", "55810"], "r_monomials"),
         (["expand", "--form", "delta", "--prec", "248121"], "delta"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_refuses_a_cost_above_the_ceiling(self, capsys, monkeypatch,
@@ -720,19 +770,20 @@ class TestFactorizationBounds:
         monkeypatch.delenv("PLUSFORMS_PREC_CAP", raising=False)
         requests = []
         cheap = cli.theta_off_multiples_of_three
-        one = cli.r_t(0, 1)
         monkeypatch.setattr(cli, "cusp_line_13_half", lambda p:
                             requests.append(("remark3", p)) or cheap(p))
-        monkeypatch.setattr(cli, "r_t", lambda t, p: requests.append(
-            ("r_t", p)) or one._replace(series=QSeries.one(one.series.ring, p)))
+        # every R_t comes from one r_monomials call at the V_4 precision
+        monkeypatch.setattr(cli, "r_monomials", lambda ts, p: requests.append(
+            ("r_monomials", p)) or [QSeries.one(RATIONAL, p)] * len(ts))
         monkeypatch.setattr(cli, "delta", lambda p:
                             requests.append(("delta", p)) or cli.theta(p))
         assert run(capsys, "verify", "remark3", "--prec", "103147")[0] == 0
         assert run(capsys, "verify", "rt", "--prec", "55809")[0] == 0
         assert run(capsys, "expand", "--form", "delta",
                    "--prec", "248120")[0] == 0
-        assert requests == [("remark3", 103147)] + [("r_t", 55809)] * 20 \
-            + [("delta", 248120)]
+        assert requests == [("remark3", 103147),
+                            ("r_monomials", v4_precision(55809)),
+                            ("delta", 248120)]
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")

@@ -104,9 +104,9 @@ class TestPlusSpaceBasis:
         calls = []
 
         def spy(name, built):
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls.append((name, *args))
-                return built(*args)
+                return built(*args, **kwargs)
             return wrapper
 
         monkeypatch.setattr(level_one_forms, "eisenstein",

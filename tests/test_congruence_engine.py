@@ -15,6 +15,7 @@ from plusforms.congruence_engine import (
     verify_congruence,
 )
 from plusforms.constructions import (
+    MOD3,
     NamedForm,
     ap_named,
     f_form,
@@ -344,7 +345,12 @@ class TestOneComparison:
     @pytest.mark.parametrize("build,unit", [
         (lambda: (f_form(650), g31(650)), 2),
         (lambda: (ap_named(psi(12, 1622), 2, 3), hurwitz_progression(1622)),
-         1)], ids=["cong", "psi12"])
+         1),
+        (lambda: (f_form(650, ring=MOD3), g31(650)), 2),
+        (lambda: (ap_named(psi(12, 1622, ring=MOD3), 2, 3),
+                  hurwitz_progression(1622)), 1),
+        (lambda: (g31(650), f_form(650, ring=MOD3)), 2),
+    ], ids=["cong", "psi12", "cong-mod3", "psi12-mod3", "cong-mod3-rhs"])
     def test_verify_forms_no_product(self, monkeypatch, build, unit):
         # the reduced rows decide the Sturm pair, so none is multiplied out
         lhs, rhs = build()

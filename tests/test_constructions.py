@@ -11,6 +11,8 @@ from plusforms.cohen_eisenstein import (
     cohen_h,
     cohen_series,
     cohen_series_many,
+    kohnen_images,
+    kohnen_ring,
     plus_isomorphism,
     plus_space_basis,
     theta,
@@ -18,6 +20,9 @@ from plusforms.cohen_eisenstein import (
 from plusforms.constructions import (
     CHI3,
     CHI3_SQUARED,
+    MOD3,
+    PHI_SCALES,
+    PSI_SCALES,
     ap_named,
     cusp_line_13_half,
     f_form,
@@ -40,7 +45,12 @@ from plusforms.operators import (
     v4_precision,
     v_op,
 )
-from plusforms.qseries import RATIONAL, QSeries
+from plusforms.qseries import (
+    RATIONAL,
+    NonIntegralCoefficientError,
+    QSeries,
+    RingTag,
+)
 
 DISPLAY_PHI = {4: 2, 7: 1, 19: 1, 28: 2, 40: 2, 43: 1, 52: 2, 55: 1,
                64: 2, 67: 1, 76: 1}
@@ -77,7 +87,7 @@ def psi10_base_oracle(p):
 
 class TestAgainstTheWrittenOutFormulas:
     # each example builds cold, so the cache serves no truncation
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(st.integers(4, 20).map(lambda i: 2 * i + 1), st.integers(1, 300))
     @example(9, 1)
     @example(9, 2)
@@ -91,7 +101,7 @@ class TestAgainstTheWrittenOutFormulas:
         _cache.clear()
         assert phi(k, p).series == phi_oracle(k, p)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(st.integers(6, 20).map(lambda i: 2 * i), st.integers(1, 300))
     @example(12, 1)
     @example(14, 2)
@@ -213,6 +223,14 @@ class TestPhi:
         phi(9, 300)
         assert set(_cache._store) == {("cohen", 3), ("cohen", 5), ("phi", 9)}
 
+    def test_cold_ring_build_caches_only_ring_keyed_series(self):
+        # the mod-3 build keeps its seed bodies over Z/27 and phi mod 3,
+        # each under a key that names its modulus, and nothing over Q
+        _cache.clear()
+        phi(9, 300, ring=MOD3)
+        assert set(_cache._store) == {("seed", 3, 27), ("seed", 5, 27),
+                                      ("phi", 9, 3)}
+
 
 class TestF:
     def test_multiples_of_three_removed(self):
@@ -327,6 +345,12 @@ class TestPsi:
         psi(k, 300)
         assert set(_cache._store) == {("psi", k)}
 
+    @pytest.mark.parametrize("k", [12, 14, 24])
+    def test_cold_ring_build_caches_only_ring_keyed_series(self, k):
+        _cache.clear()
+        psi(k, 300, ring=MOD3)
+        assert set(_cache._store) == {("psi", k, 3)}
+
     def test_psi14_uses_level8_bridge(self):
         form = psi(14, 60)
         assert form.meta.level_bound == 8
@@ -407,3 +431,110 @@ class TestAuxiliaryForms:
         form = ap_named(psi(12, 20), 2, 3)
         assert form.meta.level_bound == 36
         assert form.meta.twice_weight == 25
+
+
+class TestRingBuild:
+    """The mod-3 builds over Z/3^(v+1) against the Q builds reduced mod 3,
+    each from a cold cache."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(4, 20).map(lambda i: 2 * i + 1), st.integers(1, 2000))
+    @example(9, 1)
+    @example(9, 2000)
+    @example(41, 2000)
+    def test_phi(self, k, p):
+        _cache.clear()
+        expected = phi(k, p).series.reduce_mod(3)
+        _cache.clear()
+        form = phi(k, p, ring=MOD3)
+        assert form.series == expected
+        assert form._replace(series=expected) == \
+            phi(k, p)._replace(series=expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(6, 20).map(lambda i: 2 * i), st.integers(1, 2000))
+    @example(12, 1)
+    @example(14, 2000)
+    @example(40, 2000)
+    def test_psi(self, k, p):
+        # k = 14 takes the weight-2 bridge, 1 mod 3 over Z/3
+        _cache.clear()
+        expected = psi(k, p).series.reduce_mod(3)
+        _cache.clear()
+        form = psi(k, p, ring=MOD3)
+        assert form.series == expected
+        assert form._replace(series=expected) == \
+            psi(k, p)._replace(series=expected)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(1, 2000))
+    @example(1)
+    @example(2000)
+    def test_f(self, p):
+        _cache.clear()
+        expected = f_form(p).series.reduce_mod(3)
+        _cache.clear()
+        assert f_form(p, ring=MOD3).series == expected
+
+    def test_a_warm_q_cache_does_not_serve_the_ring_build(self):
+        _cache.clear()
+        rational = phi(9, 400)
+        ring = phi(9, 300, ring=MOD3)
+        assert ring.series.ring == MOD3 and rational.series.ring == RATIONAL
+        assert ring.series == rational.series.truncate(300).reduce_mod(3)
+
+    def test_the_ring_comes_from_the_constants(self):
+        # phi: 28 zeta(-5) = -1/9 and -(44/3) zeta(-9) = 1/9, so v = 2;
+        # psi: theta alone with constant 1, so v = 0; with H_{5/2} in use,
+        # zeta(-3) = 1/120 has one 3, so v = 1
+        assert [a * cohen_h(r, 0) for a, r in zip(PHI_SCALES, (3, 5))] == \
+            [Fraction(-1, 9), Fraction(1, 9)]
+        assert kohnen_ring(9, PHI_SCALES) == RingTag(27)
+        assert kohnen_ring(41, PHI_SCALES) == RingTag(27)
+        assert kohnen_ring(12, PSI_SCALES) == RingTag(3)
+        assert kohnen_ring(12, (1, 1)) == RingTag(9)
+        assert kohnen_ring(9, (28, 0)) == RingTag(27)
+        assert kohnen_ring(9, (0, 132)) == RingTag(3)
+
+    def test_a_larger_power_of_three_gives_the_same_residues(self):
+        # over Z/3^(u+1) with u > v the image is 3^u times the form
+        p, small = 300, v4_precision(300)
+        expected = phi(9, p).series.reduce_mod(3)
+        for modulus in (81, 243):
+            ring = RingTag(modulus)
+            (image,) = kohnen_images(9, [tuple(r_monomials((6, 4), small,
+                                                           ring))],
+                                     p, PHI_SCALES, ring)
+            assert image.series.divide_out(modulus // 3) == expected
+
+    @pytest.mark.parametrize("modulus", [9, 5, 6])
+    def test_refuses_a_ring_its_constants_do_not_fit(self, modulus):
+        # Z/9 is short of the 3^2 in the denominators of phi's constants;
+        # Z/5 and Z/6 are no powers of 3
+        ring = RingTag(modulus)
+        small = v4_precision(50)
+        with pytest.raises(ValueError):
+            kohnen_images(9, [tuple(r_monomials((6, 4), small, ring))], 50,
+                          PHI_SCALES, ring)
+
+    def test_a_form_that_is_not_three_integral_fails_where_q_fails(self):
+        # H_{7/2} R_6 + H_{11/2} R_4 has 3 in some denominators: the ring
+        # build fails at the first exponent the Q build fails at
+        p, small, scales = 200, v4_precision(200), (1, 1)
+        (rational,) = kohnen_images(9, [tuple(r_monomials((6, 4), small))],
+                                    p, scales)
+        with pytest.raises(NonIntegralCoefficientError) as over_q:
+            rational.series.reduce_mod(3)
+        ring = kohnen_ring(9, scales)
+        (image,) = kohnen_images(9, [tuple(r_monomials((6, 4), small,
+                                                       ring))],
+                                 p, scales, ring)
+        with pytest.raises(NonIntegralCoefficientError) as over_ring:
+            image.series.divide_out(ring.modulus // 3)
+        assert over_ring.value.exponent == over_q.value.exponent
+        assert over_ring.value.modulus == 3
+
+    @pytest.mark.parametrize("build", [phi, psi])
+    def test_only_q_and_z3(self, build):
+        with pytest.raises(ValueError, match="over Q or Z/3"):
+            build(12 if build is psi else 9, 10, ring=RingTag(5))

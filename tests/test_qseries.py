@@ -1,11 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plusforms import qseries
 from plusforms.arith import sigma_table
 from plusforms.cohen_eisenstein import cohen_series, theta
+from plusforms.level_one_forms import eisenstein
 from plusforms.operators import dilate4, r_t, v4_precision, v_op
 from plusforms.qseries import (
     QSeries,
@@ -112,6 +115,31 @@ class TestReduceMod:
     def test_only_rational_input(self):
         with pytest.raises(RingMismatchError):
             QSeries.modular(3, (1,)).reduce_mod(3)
+
+
+class TestDivideOut:
+    def test_nine_times_a_form_mod_27(self):
+        s = QSeries.modular(27, (0, 9, 18, 0, 9)).divide_out(9)
+        assert s.ring == RingTag(3) and s.coeffs == (0, 1, 2, 0, 1)
+
+    def test_an_entry_not_divisible_by_nine_raises(self):
+        s = QSeries.modular(27, (9, 0, 18, 3, 12))
+        with pytest.raises(NonIntegralCoefficientError) as err:
+            s.divide_out(9)
+        assert (err.value.exponent, err.value.coefficient,
+                err.value.modulus) == (3, Fraction(1, 3), 3)
+
+    def test_one_is_the_identity(self):
+        s = QSeries.modular(3, (1, 2, 0))
+        assert s.divide_out(1) is s
+
+    @pytest.mark.parametrize("series, d", [
+        (QSeries.rational((9, 18)), 9),
+        (QSeries.modular(27, (9, 18)), 2),
+    ])
+    def test_needs_a_ring_that_d_divides(self, series, d):
+        with pytest.raises(RingMismatchError):
+            series.divide_out(d)
 
 
 small_rationals = st.fractions(
@@ -239,6 +267,111 @@ class TestProductKernel:
         a = QSeries.rational([big, -big, Fraction(-big, 10 ** 6), 0, big])
         b = QSeries.rational([-big, Fraction(1, 999983), big, big, -1])
         assert (a * b).coeffs == schoolbook_product(a, b)
+
+
+def _widths(monkeypatch):
+    """The digit widths the kernel's substitutions run at, recorded."""
+    widths = []
+    substitute = qseries._substitute
+
+    def spy(x, y, width, size):
+        widths.append(width)
+        return substitute(x, y, width, size)
+
+    monkeypatch.setattr(qseries, "_substitute", spy)
+    return widths
+
+
+def _signed_row(rnd, n, bits):
+    """n entries of absolute value below 2^bits, either sign, one of them
+    -(2^bits - 1) so the row's widest entry has exactly `bits` bits."""
+    top = (1 << bits) - 1
+    row = [rnd.randint(-top, top) for _ in range(n)]
+    row[rnd.randrange(n)] = -top
+    return row
+
+
+class TestDigitCodecs:
+    """Both digit codecs against the schoolbook oracle: a computed width of
+    at most 8 bytes is widened to a 4- or 8-byte word packed by `array`,
+    a wider one keeps the byte path; each product also equals the one
+    taken with the byte path alone."""
+
+    # the computed width is (bits(a) + bits(b) + bits(n) + 8) // 8 bytes:
+    # at n = 100 (7 bits), entries of 6 + 6 bits give 3 bytes, 10 + 10 give
+    # 4, 14 + 14 give 5, 26 + 26 give 8 and 30 + 30 give 9
+    @pytest.mark.parametrize("computed, bits, used", [
+        (3, 6, 4), (4, 10, 4), (5, 14, 8), (8, 26, 8), (9, 30, 9)])
+    def test_each_computed_width(self, monkeypatch, computed, bits, used):
+        rnd = random.Random(computed)
+        a = QSeries.rational(_signed_row(rnd, 100, bits))
+        b = QSeries.rational(_signed_row(rnd, 100, bits))
+        assert (2 * bits + (100).bit_length() + 8) // 8 == computed
+        widths = _widths(monkeypatch)
+        got = (a * b).coeffs
+        assert got == schoolbook_product(a, b)
+        assert set(widths) == {used}
+        monkeypatch.setattr(qseries, "_NARROW", {})
+        assert (a * b).coeffs == got
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 300), st.integers(0, 40),
+           st.sampled_from(("integer", "zero", "single")),
+           st.sampled_from(("integer", "zero", "single")),
+           st.integers(0, 40), st.integers(0, 40),
+           st.randoms(use_true_random=False))
+    def test_narrow_rows_either_codec(self, n, extra, kind_a, kind_b,
+                                      bits_a, bits_b, rnd):
+        a = QSeries.rational(_row(rnd, n, kind_a, bits_a, [1]))
+        b = QSeries.rational(_row(rnd, n + extra, kind_b, bits_b, [1]))
+        for x, y in ((a, b), (b, a)):
+            got = (x * y).coeffs
+            assert got == schoolbook_product(x, y)
+            qseries._NARROW, narrow = {}, qseries._NARROW
+            try:
+                assert (x * y).coeffs == got
+            finally:
+                qseries._NARROW = narrow
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("bits", [0, 1, 20, 40])
+    def test_short_and_zero_rows(self, n, bits):
+        rnd = random.Random(n * 100 + bits)
+        row = _signed_row(rnd, n, bits) if bits else [0] * n
+        a, zero = QSeries.rational(row), QSeries.zero(RATIONAL, n)
+        assert (a * a).coeffs == schoolbook_product(a, a)
+        assert (a * zero).coeffs == (0,) * n
+        assert (zero * a).coeffs == (0,) * n
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, (1 << 64) + 13), st.integers(1, 300),
+           st.randoms(use_true_random=False))
+    def test_residue_rows(self, m, n, rnd):
+        a = QSeries.modular(m, [rnd.randrange(m) for _ in range(n)])
+        b = QSeries.modular(m, [m - 1] * n)
+        for x, y in ((a, b), (b, a), (b, b)):
+            assert (x * y).coeffs == schoolbook_product(x, y)
+
+    @pytest.mark.parametrize("m, used", [
+        (3, {4}), (27, {4}), (1 << 20, {8}), ((1 << 64) + 13, {18})])
+    def test_residue_rows_take_their_codec(self, monkeypatch, m, used):
+        # at n = 300 (9 bits), Z/2^20 needs (20 + 20 + 9 + 8) // 8 = 7
+        # bytes, widened to 8; Z/(2^64 + 13) has 65-bit entries and needs
+        # 18 bytes, past any machine word
+        a = QSeries.modular(m, [m - 1] * 300)
+        widths = _widths(monkeypatch)
+        assert (a * a).coeffs == schoolbook_product(a, a)
+        assert set(widths) == used
+
+    @pytest.mark.parametrize("ring", [RATIONAL, RingTag(27)])
+    def test_lopsided_pair(self, ring):
+        # E_4^30 is about ten times as wide as E_4^3
+        e4 = eisenstein(4, 120).series
+        wide, narrow = e4 ** 30, e4 ** 3
+        if ring.modulus:
+            wide, narrow = wide.reduce_mod(27), narrow.reduce_mod(27)
+        for x, y in ((wide, narrow), (narrow, wide)):
+            assert (x * y).coeffs == schoolbook_product(x, y)
 
 
 class TestClassSparseProducts:
